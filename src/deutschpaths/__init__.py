@@ -6,195 +6,20 @@ brute force), converts them to and from their marked-tree encoding, and
 exposes the exact power series engine the counting rests on.
 """
 
-from .numbers import (
-    DoesNotStartWithDominoError,
-    NonIntegerResultError,
-    Piece,
-    QuadraticNumber,
-    SILVER_CONJUGATE,
-    SILVER_RATIO,
-    SQRT2,
-    Tiling,
-    binet_half_companion,
-    binet_pell,
-    count_mountains,
-    count_nondecreasing_closed,
-    count_nondecreasing_quadratic,
-    count_square_first_tilings,
-    count_tilings,
-    delete_leading_domino,
-    enumerate_tilings,
-    fibonacci,
-    format_bfile,
-    half_companion_pell,
-    pell,
-    quad_pow,
-    render_tiling,
-)
-from .paths import (
-    Decomposition,
-    DeutschPath,
-    Down,
-    Mountain,
-    NegativeExcursionError,
-    NonzeroEndError,
-    NotNonDecreasingError,
-    PathStats,
-    PathTokenError,
-    StatsSummary,
-    Step,
-    UP,
-    Up,
-    as_mountain,
-    compose,
-    decompose,
-    enumerate_deutsch,
-    enumerate_nondecreasing_direct,
-    enumerate_nondecreasing_filter,
-    heights,
-    is_nondecreasing,
-    iter_decompositions,
-    parse_path,
-    path_from_json,
-    path_stats,
-    path_to_json,
-    render_path,
-    statistics,
-    valley_levels,
-    validate,
-)
-from .series import (
-    DEFAULT_ORDER,
-    FORM_NAMES,
-    NonzeroConstantTermError,
-    Polynomial,
-    RationalGF,
-    TruncatedSeries,
-    UnknownFormError,
-    ZeroConstantTermError,
-    coefficients_to_json,
-    format_coefficient,
-    format_coefficients,
-    gf_coefficients,
-    rational_coeffs,
-    series_add,
-    series_div,
-    series_mul,
-    star_identity_holds,
-)
-from .trees import (
-    DanglingSinglesError,
-    EdgeMark,
-    MarkedTree,
-    TreeInvariantError,
-    TreeRecordError,
-    TreeStats,
-    composition_to_marks,
-    marks_to_composition,
-    path_to_tree,
-    render_outline,
-    tree_from_json,
-    tree_statistics,
-    tree_to_json,
-    tree_to_path,
-    validate_tree,
-)
-from .verify import CheckResult, run_checks
+from . import numbers, paths, series, trees, verify
+from .numbers import *
+from .paths import *
+from .series import *
+from .trees import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # paths
-    "DeutschPath",
-    "Up",
-    "Down",
-    "UP",
-    "Step",
-    "Mountain",
-    "Decomposition",
-    "PathStats",
-    "StatsSummary",
-    "PathTokenError",
-    "NegativeExcursionError",
-    "NonzeroEndError",
-    "NotNonDecreasingError",
-    "parse_path",
-    "render_path",
-    "path_to_json",
-    "path_from_json",
-    "validate",
-    "heights",
-    "valley_levels",
-    "is_nondecreasing",
-    "as_mountain",
-    "enumerate_deutsch",
-    "enumerate_nondecreasing_filter",
-    "enumerate_nondecreasing_direct",
-    "iter_decompositions",
-    "decompose",
-    "compose",
-    "path_stats",
-    "statistics",
-    # trees
-    "EdgeMark",
-    "MarkedTree",
-    "TreeStats",
-    "DanglingSinglesError",
-    "TreeInvariantError",
-    "TreeRecordError",
-    "composition_to_marks",
-    "marks_to_composition",
-    "path_to_tree",
-    "tree_to_path",
-    "tree_statistics",
-    "validate_tree",
-    "tree_to_json",
-    "tree_from_json",
-    "render_outline",
-    # series
-    "TruncatedSeries",
-    "Polynomial",
-    "RationalGF",
-    "DEFAULT_ORDER",
-    "FORM_NAMES",
-    "ZeroConstantTermError",
-    "NonzeroConstantTermError",
-    "UnknownFormError",
-    "series_add",
-    "series_mul",
-    "series_div",
-    "rational_coeffs",
-    "gf_coefficients",
-    "star_identity_holds",
-    "format_coefficient",
-    "format_coefficients",
-    "coefficients_to_json",
-    # numbers
-    "QuadraticNumber",
-    "SQRT2",
-    "SILVER_RATIO",
-    "SILVER_CONJUGATE",
-    "NonIntegerResultError",
-    "DoesNotStartWithDominoError",
-    "Piece",
-    "Tiling",
-    "fibonacci",
-    "pell",
-    "half_companion_pell",
-    "quad_pow",
-    "binet_pell",
-    "binet_half_companion",
-    "count_nondecreasing_closed",
-    "count_nondecreasing_quadratic",
-    "count_mountains",
-    "enumerate_tilings",
-    "count_tilings",
-    "count_square_first_tilings",
-    "delete_leading_domino",
-    "render_tiling",
-    "format_bfile",
-    # verification
-    "CheckResult",
-    "run_checks",
+    *paths.__all__,
+    *trees.__all__,
+    *series.__all__,
+    *numbers.__all__,
+    *verify.__all__,
 ]

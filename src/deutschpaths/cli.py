@@ -201,6 +201,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Counts past n ~ 11,240 have more digits than Python >= 3.11 turns
+    # into str by default (3.10 has neither the limit nor its setter).
+    # It is lifted after parsing, so argv integers still meet it.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError) as exc:

@@ -30,7 +30,6 @@ __all__ = [
     "fibonacci",
     "pell",
     "half_companion_pell",
-    "quad_pow",
     "binet_pell",
     "binet_half_companion",
     "count_nondecreasing_closed",
@@ -190,11 +189,6 @@ class QuadraticNumber:
 SQRT2 = QuadraticNumber(0, 1)
 SILVER_RATIO = QuadraticNumber(1, 1)  # 1 + sqrt(2)
 SILVER_CONJUGATE = QuadraticNumber(1, -1)  # 1 - sqrt(2)
-
-
-def quad_pow(x: QuadraticNumber, n: int) -> QuadraticNumber:
-    """x**n by binary exponentiation, exact."""
-    return x**n
 
 
 def binet_pell(n: int) -> int:

@@ -1,17 +1,19 @@
-"""Exact formal power series, truncated at a fixed order.
+"""Exact formal power series and rational generating functions.
 
 Everything here runs on :class:`fractions.Fraction`; no floating point
 is involved anywhere.  A :class:`TruncatedSeries` holds coefficients 0
 through its order, binary operations truncate to the smaller order of
 the two operands, and division requires an invertible (nonzero)
-constant term.  :class:`RationalGF` expands a rational function through
-the linear recurrence read off its denominator, which keeps the cost at
+constant term.  A :class:`RationalGF` is an exact quotient of
+polynomials with the same operators; it expands through the linear
+recurrence read off its denominator, which keeps the cost at
 O(order * degree).
 
 The registry behind :func:`gf_coefficients` collects the named closed
-forms used across the package, including the continued fraction shapes,
-so every route to the same counting sequence can be expanded and
-compared coefficient by coefficient.
+forms used across the package, including the continued fraction shapes.
+Each is a rational function of small degree, so every route to the same
+counting sequence can be compared exactly as well as coefficient by
+coefficient.
 """
 
 from __future__ import annotations
@@ -29,13 +31,9 @@ __all__ = [
     "RationalGF",
     "DEFAULT_ORDER",
     "FORM_NAMES",
-    "series_add",
-    "series_mul",
-    "series_div",
-    "rational_coeffs",
+    "named_form",
     "gf_coefficients",
     "star_identity_holds",
-    "format_coefficient",
     "format_coefficients",
     "coefficients_to_json",
 ]
@@ -192,21 +190,6 @@ class TruncatedSeries:
         return lhs / self
 
 
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise sum, truncated to the smaller order."""
-    return a + b
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product, truncated to the smaller order."""
-    return a * b
-
-
-def series_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Exact quotient; requires b to have a nonzero constant term."""
-    return a / b
-
-
 class Polynomial:
     """Dense polynomial with exact coefficients, trailing zeros trimmed."""
 
@@ -282,6 +265,12 @@ class Polynomial:
 class RationalGF:
     """Quotient of two polynomials with an invertible denominator.
 
+    Supports +, -, * and / with other rational functions and with int or
+    Fraction scalars, so the named forms are written as the formulas
+    they implement.  Equality is equality of values, tested by
+    cross-multiplication, so it holds at every order; results are not
+    reduced to lowest terms.
+
     Coefficient extraction runs the recurrence
     c[n] = (p[n] - sum(q[i] * c[n-i], i >= 1)) / q[0]
     read off the denominator q, costing O(order * degree).
@@ -298,6 +287,75 @@ class RationalGF:
     def __repr__(self) -> str:
         return f"RationalGF({self.numerator!r}, {self.denominator!r})"
 
+    @staticmethod
+    def _coerce(other: object) -> RationalGF | None:
+        if isinstance(other, RationalGF):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return RationalGF(Polynomial([other]), Polynomial([1]))
+        return None
+
+    def __eq__(self, other: object) -> bool:
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self.numerator * rhs.denominator == rhs.numerator * self.denominator
+
+    __hash__ = None  # equal values may have different numerator/denominator pairs
+
+    def __add__(self, other: object) -> RationalGF:
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return RationalGF(
+            self.numerator * rhs.denominator + rhs.numerator * self.denominator,
+            self.denominator * rhs.denominator,
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self) -> RationalGF:
+        return RationalGF(-self.numerator, self.denominator)
+
+    def __sub__(self, other: object) -> RationalGF:
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __rsub__(self, other: object) -> RationalGF:
+        lhs = self._coerce(other)
+        if lhs is None:
+            return NotImplemented
+        return lhs - self
+
+    def __mul__(self, other: object) -> RationalGF:
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return RationalGF(
+            self.numerator * rhs.numerator, self.denominator * rhs.denominator
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: object) -> RationalGF:
+        """Exact quotient; the divisor must not vanish at z = 0."""
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        if not rhs.numerator.constant_term:
+            raise ZeroConstantTermError("division needs a nonzero constant term")
+        return RationalGF(
+            self.numerator * rhs.denominator, self.denominator * rhs.numerator
+        )
+
+    def __rtruediv__(self, other: object) -> RationalGF:
+        lhs = self._coerce(other)
+        if lhs is None:
+            return NotImplemented
+        return lhs / self
+
     def coefficients(self, order: int) -> tuple[Fraction, ...]:
         if order < 0:
             raise ValueError("order must be >= 0")
@@ -312,14 +370,6 @@ class RationalGF:
             out.append(acc / q0)
         return tuple(out)
 
-    def as_series(self, order: int) -> TruncatedSeries:
-        return TruncatedSeries(self.coefficients(order))
-
-
-def rational_coeffs(gf: RationalGF, order: int) -> tuple[Fraction, ...]:
-    """Coefficients 0..order of a rational generating function."""
-    return gf.coefficients(order)
-
 
 def _poly(*coeffs: Coeff) -> Polynomial:
     return Polynomial(coeffs)
@@ -332,6 +382,7 @@ _ONE_MINUS_Z = _poly(1, -1)
 _ONE_MINUS_2Z = _poly(1, -2)
 _ONE_MINUS_2Z_MINUS_Z2 = _poly(1, -2, -1)
 
+_Z = RationalGF(_poly(0, 1), _poly(1))
 _MOUNTAIN_GF = RationalGF(_poly(0, 0, 1), _ONE_MINUS_Z_MINUS_Z2)
 _BUNDLE_GF = RationalGF(_ONE_MINUS_Z_MINUS_Z2, _ONE_PLUS_Z * _ONE_MINUS_2Z)
 _PRODUCT_GF = RationalGF(
@@ -341,115 +392,60 @@ _PRODUCT_GF = RationalGF(
 _DYCK_GF = RationalGF(_ONE_MINUS_2Z, _poly(1, -3, 1))
 
 
-def _form_mountain(order: int) -> tuple[Fraction, ...]:
-    return _MOUNTAIN_GF.coefficients(order)
-
-
-def _form_bundle(order: int) -> tuple[Fraction, ...]:
-    return _BUNDLE_GF.coefficients(order)
-
-
-def _form_product(order: int) -> tuple[Fraction, ...]:
-    return _PRODUCT_GF.coefficients(order)
-
-
-def _form_with_empty(order: int) -> tuple[Fraction, ...]:
-    coeffs = list(_PRODUCT_GF.coefficients(order))
-    coeffs[0] += 1
-    return tuple(coeffs)
-
-
-def _form_partial_fractions(order: int) -> tuple[Fraction, ...]:
-    quarter = Fraction(1, 4)
-    half = Fraction(1, 2)
-    a = RationalGF(_poly(1), _ONE_MINUS_Z).as_series(order) * quarter
-    b = RationalGF(_poly(1), _ONE_PLUS_Z).as_series(order) * quarter
-    c = RationalGF(_ONE_MINUS_2Z, _ONE_MINUS_2Z_MINUS_Z2).as_series(order) * half
-    return (a + b + c).coefficients
-
-
-def _gamma_series(order: int) -> TruncatedSeries:
+def _gamma() -> RationalGF:
     # z**2 over the three-layer staircase denominator
-    z = TruncatedSeries.variable(order)
-    layer = 1 - z * z
-    layer = 1 - z / layer
-    layer = 1 - z / layer
-    return (z * z) / layer
+    return _Z * _Z / (1 - _Z / (1 - _Z / (1 - _Z * _Z)))
 
 
-def _form_continued_fraction(order: int) -> tuple[Fraction, ...]:
-    z = TruncatedSeries.variable(order)
-    layer = 1 - z * z
-    layer = 1 - z / layer
-    layer = 1 - z / layer
-    layer = 1 - (z * z) / layer
-    return (1 / layer).coefficients
+def _tree_form() -> RationalGF:
+    hang = 1 / (1 - _MOUNTAIN_GF)
+    spine = _Z * _Z / (1 - (_Z + _Z * _Z) * hang)
+    return 1 + spine * hang
 
 
-def _form_gamma(order: int) -> tuple[Fraction, ...]:
-    return _gamma_series(order).coefficients
-
-
-def _form_cf_closure(order: int) -> tuple[Fraction, ...]:
-    return (1 / (1 - _gamma_series(order))).coefficients
-
-
-def _form_tree_form(order: int) -> tuple[Fraction, ...]:
-    z = TruncatedSeries.variable(order)
-    mountain = _MOUNTAIN_GF.as_series(order)
-    hang = 1 / (1 - mountain)
-    spine = (z * z) / (1 - (z + z * z) * hang)
-    return (1 + spine * hang).coefficients
-
-
-def _form_dyck_nondecreasing(order: int) -> tuple[Fraction, ...]:
-    return _DYCK_GF.coefficients(order)
-
-
-def _form_square_first_tilings(order: int) -> tuple[Fraction, ...]:
-    z = TruncatedSeries.variable(order)
-    return (1 / (1 - z / (1 - z * z))).coefficients
-
-
-def _form_edge_or_path(order: int) -> tuple[Fraction, ...]:
-    z = TruncatedSeries.variable(order)
-    return (z / (1 - z / (1 - z * z))).coefficients
-
-
-_FORMS: dict[str, Callable[[int], tuple[Fraction, ...]]] = {
-    "mountain": _form_mountain,
-    "bundle": _form_bundle,
-    "product": _form_product,
-    "with-empty": _form_with_empty,
-    "partial-fractions": _form_partial_fractions,
-    "continued-fraction": _form_continued_fraction,
-    "gamma": _form_gamma,
-    "cf-closure": _form_cf_closure,
-    "tree-form": _form_tree_form,
-    "dyck-nondecreasing": _form_dyck_nondecreasing,
-    "square-first-tilings": _form_square_first_tilings,
-    "edge-or-path": _form_edge_or_path,
+# Each form is built when asked for: the composite shapes cost
+# milliseconds of exact polynomial arithmetic, too much to pay at import.
+_FORMS: dict[str, Callable[[], RationalGF]] = {
+    "mountain": lambda: _MOUNTAIN_GF,
+    "bundle": lambda: _BUNDLE_GF,
+    "product": lambda: _PRODUCT_GF,
+    "with-empty": lambda: 1 + _PRODUCT_GF,
+    "partial-fractions": lambda: (
+        Fraction(1, 4) / (1 - _Z)
+        + Fraction(1, 4) / (1 + _Z)
+        + Fraction(1, 2) * (1 - 2 * _Z) / (1 - 2 * _Z - _Z * _Z)
+    ),
+    "continued-fraction": lambda: (
+        1 / (1 - _Z * _Z / (1 - _Z / (1 - _Z / (1 - _Z * _Z))))
+    ),
+    "gamma": _gamma,
+    "cf-closure": lambda: 1 / (1 - _gamma()),
+    "tree-form": _tree_form,
+    "dyck-nondecreasing": lambda: _DYCK_GF,
+    "square-first-tilings": lambda: 1 / (1 - _Z / (1 - _Z * _Z)),
+    "edge-or-path": lambda: _Z / (1 - _Z / (1 - _Z * _Z)),
 }
 
 FORM_NAMES: tuple[str, ...] = tuple(_FORMS)
 
 
-def gf_coefficients(form: str, order: int = DEFAULT_ORDER) -> tuple[Fraction, ...]:
-    """Coefficients 0..order of a named generating function.
+def named_form(form: str) -> RationalGF:
+    """The named generating function as an exact rational function.
 
     The registry names every closed form the package works with; an
     unknown name raises :class:`UnknownFormError` listing the options.
-    Continued fraction shapes are evaluated innermost layer first, at
-    the full truncation order throughout.
     """
     try:
         builder = _FORMS[form]
     except KeyError:
         known = ", ".join(FORM_NAMES)
         raise UnknownFormError(f"unknown form {form!r}; expected one of: {known}") from None
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return tuple(builder(order))
+    return builder()
+
+
+def gf_coefficients(form: str, order: int = DEFAULT_ORDER) -> tuple[Fraction, ...]:
+    """Coefficients 0..order of a named generating function."""
+    return named_form(form).coefficients(order)
 
 
 def star_identity_holds(a: TruncatedSeries, b: TruncatedSeries, order: int) -> bool:
@@ -469,17 +465,12 @@ def star_identity_holds(a: TruncatedSeries, b: TruncatedSeries, order: int) -> b
     return lhs == rhs
 
 
-def format_coefficient(value: Fraction) -> str:
-    """Exact decimal string; integers drop the denominator."""
-    return str(value)
-
-
 def format_coefficients(values: Sequence[Fraction]) -> str:
     """Comma separated exact values, e.g. ``1, 0, 1, 1, 3``."""
-    return ", ".join(format_coefficient(v) for v in values)
+    return ", ".join(str(v) for v in values)
 
 
 def coefficients_to_json(form: str, values: Sequence[Fraction]) -> str:
     """JSON record ``{"form": ..., "coeffs": ["1", "0", ...]}``."""
-    record = {"form": form, "coeffs": [format_coefficient(v) for v in values]}
+    record = {"form": form, "coeffs": [str(v) for v in values]}
     return json.dumps(record, separators=(",", ":"))

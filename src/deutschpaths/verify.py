@@ -235,9 +235,15 @@ def _check_five_forms(order: int) -> CheckResult:
         "cf-closure",
         "tree-form",
     )
-    expansions = {name: series.gf_coefficients(name, order) for name in names}
-    reference = expansions["with-empty"]
-    bad = [name for name, coeffs in expansions.items() if coeffs != reference]
+    # equal through ``order``, and as rational functions (P1 Q2 == P2 Q1)
+    forms = {name: series.named_form(name) for name in names}
+    reference = forms["with-empty"]
+    expansion = reference.coefficients(order)
+    bad = [
+        name
+        for name, form in forms.items()
+        if form.coefficients(order) != expansion or form != reference
+    ]
     return _check(
         f"series: all five closed forms expand identically (order {order})",
         not bad,

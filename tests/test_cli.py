@@ -38,6 +38,15 @@ def test_count_large_closed():
     assert int(closed.stdout) == 2062818444281274434110779898730725
 
 
+def test_count_past_the_int_str_digit_limit():
+    # a(12000) has 4,593 digits, past Python's default of 4,300
+    closed = run_cli("count", "--length", "12000")
+    series = run_cli("count", "--length", "12000", "--method", "series")
+    assert closed.returncode == series.returncode == 0
+    assert closed.stdout == series.stdout
+    assert len(closed.stdout.strip()) > 4300
+
+
 def test_table_text():
     result = run_cli("table", "--max", "5", "--brute-cap", "4")
     assert result.returncode == 0

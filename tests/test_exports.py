@@ -1,0 +1,42 @@
+"""The package's public names, each declared once in its own module."""
+
+from __future__ import annotations
+
+import deutschpaths
+
+EXPORTED = """
+__version__ DeutschPath Up Down UP Step Mountain Decomposition PathStats
+StatsSummary PathTokenError NegativeExcursionError NonzeroEndError
+NotNonDecreasingError parse_path render_path path_to_json path_from_json
+validate heights valley_levels is_nondecreasing as_mountain
+enumerate_deutsch enumerate_nondecreasing_filter
+enumerate_nondecreasing_direct iter_decompositions decompose compose
+path_stats statistics EdgeMark MarkedTree TreeStats DanglingSinglesError
+TreeInvariantError TreeRecordError composition_to_marks marks_to_composition
+path_to_tree tree_to_path tree_statistics validate_tree tree_to_json
+tree_from_json render_outline TruncatedSeries Polynomial RationalGF
+DEFAULT_ORDER FORM_NAMES ZeroConstantTermError NonzeroConstantTermError
+UnknownFormError named_form gf_coefficients star_identity_holds
+format_coefficients coefficients_to_json QuadraticNumber SQRT2 SILVER_RATIO
+SILVER_CONJUGATE NonIntegerResultError DoesNotStartWithDominoError Piece
+Tiling fibonacci pell half_companion_pell binet_pell binet_half_companion
+count_nondecreasing_closed count_nondecreasing_quadratic count_mountains
+enumerate_tilings count_tilings count_square_first_tilings
+delete_leading_domino render_tiling format_bfile CheckResult run_checks
+""".split()
+
+# one-line wrappers around an operator, a method or str()
+REMOVED = (
+    "series_add series_mul series_div rational_coeffs format_coefficient quad_pow".split()
+)
+
+
+def test_public_names_import_from_the_package():
+    for name in EXPORTED:
+        assert hasattr(deutschpaths, name), name
+    assert sorted(deutschpaths.__all__) == sorted(EXPORTED)
+
+
+def test_wrappers_are_gone():
+    for name in REMOVED:
+        assert not hasattr(deutschpaths, name), name

@@ -19,10 +19,6 @@ from deutschpaths import (
     fibonacci,
     format_coefficients,
     gf_coefficients,
-    rational_coeffs,
-    series_add,
-    series_div,
-    series_mul,
     star_identity_holds,
 )
 
@@ -44,8 +40,8 @@ class TestTruncatedSeries:
     def test_operations_truncate_to_the_smaller_order(self):
         a = _series([1, 2, 3])
         b = _series([1, 1])
-        assert series_add(a, b).order == 1
-        assert series_mul(a, b).order == 1
+        assert (a + b).order == 1
+        assert (a * b).order == 1
 
     def test_geometric_series(self):
         z = TruncatedSeries.variable(6)
@@ -59,7 +55,7 @@ class TestTruncatedSeries:
     def test_division_requires_constant_term(self):
         z = TruncatedSeries.variable(4)
         with pytest.raises(ZeroConstantTermError):
-            series_div(1 - z, z)
+            (1 - z) / z
 
     def test_truncate_pads_and_trims(self):
         a = _series([1, 2], order=4)
@@ -72,7 +68,7 @@ class TestTruncatedSeries:
     )
     def test_multiplication_commutes(self, xs, ys):
         a, b = _series(xs), _series(ys)
-        assert series_mul(a, b) == series_mul(b, a)
+        assert a * b == b * a
 
     @given(
         st.lists(rationals, min_size=8, max_size=8),
@@ -82,20 +78,20 @@ class TestTruncatedSeries:
         if not ys[0]:
             ys[0] = Fraction(1)
         a, b = _series(xs), _series(ys)
-        assert series_mul(series_div(a, b), b) == a
+        assert (a / b) * b == a
 
 
 class TestRationalGF:
     def test_dyck_form_expansion(self):
         gf = RationalGF(Polynomial([1, -2]), Polynomial([1, -3, 1]))
-        assert rational_coeffs(gf, 5) == (1, 1, 2, 5, 13, 34)
+        assert gf.coefficients(5) == (1, 1, 2, 5, 13, 34)
 
     def test_bundle_expansion(self):
         assert gf_coefficients("bundle", 5) == (1, 0, 1, 1, 3, 5)
 
     def test_constant(self):
         gf = RationalGF(Polynomial([1]), Polynomial([1]))
-        assert rational_coeffs(gf, 3) == (1, 0, 0, 0)
+        assert gf.coefficients(3) == (1, 0, 0, 0)
 
     def test_vanishing_denominator_rejected(self):
         with pytest.raises(ZeroConstantTermError):
@@ -104,14 +100,68 @@ class TestRationalGF:
     def test_matches_series_division(self):
         num, den = Polynomial([0, 0, 1, -1, -1]), Polynomial([1, -2, -2, 2, 1])
         gf = RationalGF(num, den)
-        direct = series_div(num.as_series(20), den.as_series(20))
-        assert rational_coeffs(gf, 20) == direct.coefficients
+        direct = num.as_series(20) / den.as_series(20)
+        assert gf.coefficients(20) == direct.coefficients
+
+    def test_operators_coerce_scalars(self):
+        z = RationalGF(Polynomial([0, 1]), Polynomial([1]))
+        assert (1 / (1 - z - z * z)).coefficients(5) == (1, 1, 2, 3, 5, 8)
+        assert (z - 1).coefficients(2) == (-1, 1, 0)
+        assert (Fraction(1, 2) * z + 3).coefficients(2) == (3, Fraction(1, 2), 0)
+        assert (2 / (1 - z)).coefficients(3) == (2, 2, 2, 2)
+        assert (z / 2).coefficients(1) == (0, Fraction(1, 2))
+
+    def test_equality_is_by_value(self):
+        z = RationalGF(Polynomial([0, 1]), Polynomial([1]))
+        unreduced = RationalGF(Polynomial([1, 1]), Polynomial([1, 0, -1]))
+        assert unreduced == 1 / (1 - z)
+        assert unreduced != 1 / (1 + z)
+        assert (1 - z) / (1 - z) == 1
+        assert 1 + z != 1
+        assert z != "z"
+
+    def test_division_by_vanishing_numerator_rejected(self):
+        z = RationalGF(Polynomial([0, 1]), Polynomial([1]))
+        with pytest.raises(ZeroConstantTermError):
+            (1 - z) / z
+        with pytest.raises(ZeroConstantTermError):
+            1 / (z / (1 - z))
+        with pytest.raises(ZeroConstantTermError):
+            z / 0
 
     def test_polynomial_algebra(self):
         p = Polynomial([1, 1]) * Polynomial([1, -2])
         assert p == Polynomial([1, -1, -2])
         assert (p - p).degree == -1
         assert Polynomial([1, 0, 0]).degree == 0
+
+
+def _gamma_series(z):
+    return z * z / (1 - z / (1 - z / (1 - z * z)))
+
+
+def _tree_form_series(z):
+    mountain = z * z / (1 - z - z * z)
+    hang = 1 / (1 - mountain)
+    spine = (z * z) / (1 - (z + z * z) * hang)
+    return 1 + spine * hang
+
+
+# The composite forms in truncated series arithmetic, an engine that
+# shares no code with RationalGF, as a check on the registry's values.
+TRUNCATED_FORMS = {
+    "partial-fractions": lambda z: (
+        Fraction(1, 4) / (1 - z)
+        + Fraction(1, 4) / (1 + z)
+        + Fraction(1, 2) * (1 - 2 * z) / (1 - 2 * z - z * z)
+    ),
+    "continued-fraction": lambda z: 1 / (1 - (z * z) / (1 - z / (1 - z / (1 - z * z)))),
+    "gamma": _gamma_series,
+    "cf-closure": lambda z: 1 / (1 - _gamma_series(z)),
+    "tree-form": _tree_form_series,
+    "square-first-tilings": lambda z: 1 / (1 - z / (1 - z * z)),
+    "edge-or-path": lambda z: z / (1 - z / (1 - z * z)),
+}
 
 
 class TestNamedForms:
@@ -153,6 +203,11 @@ class TestNamedForms:
         reference = gf_coefficients("with-empty", 64)
         for name in ("partial-fractions", "continued-fraction", "cf-closure", "tree-form"):
             assert gf_coefficients(name, 64) == reference, name
+
+    @pytest.mark.parametrize("name", sorted(TRUNCATED_FORMS))
+    def test_truncated_series_route_agrees(self, name):
+        z = TruncatedSeries.variable(64)
+        assert TRUNCATED_FORMS[name](z).coefficients == gf_coefficients(name, 64)
 
     def test_gamma_closure_matches_continued_fraction(self):
         gamma = TruncatedSeries(gf_coefficients("gamma", 32))
