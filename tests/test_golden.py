@@ -1,9 +1,9 @@
 """CLI stdout pinned byte for byte against a committed corpus.
 
-Each file under ``tests/golden`` holds the stdout of one invocation,
-captured from the series engine that expanded the continued-fraction
-shapes as truncated power series.  The forms are now exact rational
-functions, and these outputs must not change.
+Each file under ``tests/golden`` holds the stdout of one invocation:
+every named form's expansion, the series count, the count table, the
+cross-check report and the canonical path listing, text and JSON.  A
+change that keeps the package's behaviour keeps these bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ CASES = {
     },
     "count-2000-series.txt": ["count", "--length", "2000", "--method", "series"],
     "table-60.jsonl": ["table", "--max", "60", "--json"],
+    "list-10.txt": ["list", "--length", "10"],
+    "list-10.jsonl": ["list", "--length", "10", "--json"],
     "verify-8.txt": ["verify", "--max", "8"],
 }
 
