@@ -6,17 +6,18 @@ recurrences, bijections against round trips.  The CLI ``verify``
 subcommand runs the whole list and reports one line per check, so a
 regression anywhere in the package shows up as a named failure here.
 
-``max_length`` bounds the brute-force enumerations; everything not tied
-to enumeration uses the fixed orders the package commits to (series
-order 64, sequence index 64, tiling length 20).
+``max_length`` bounds the brute-force enumerations.  Each enumeration
+route is walked once per length, and that one census feeds every check
+built on enumeration.  Everything not tied to enumeration uses the fixed
+orders the package commits to (series order 64, sequence index 64,
+tiling length 20).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from . import numbers, paths, series, trees
 
@@ -46,83 +47,111 @@ def _counts_by_series(order: int) -> list[int]:
     return [c.numerator for c in coeffs]
 
 
-def _brute_counts(max_length: int) -> list[int]:
-    return [
-        sum(1 for _ in paths.enumerate_nondecreasing_filter(n))
-        for n in range(max_length + 1)
-    ]
+@dataclass
+class _Census:
+    """What one walk of each enumeration route per length leaves behind.
+
+    ``failures`` keeps each check's first failure, as its FAIL name and
+    detail, in (length, canonical path) order.
+    """
+
+    bad_paths: int = 0
+    mountains: list[int] = field(default_factory=list)
+    brute: list[int] = field(default_factory=list)
+    unit_down: list[int] = field(default_factory=list)
+    failures: dict[str, tuple[str, str]] = field(default_factory=dict)
+
+    def fail(self, check: str, name: str, detail: str) -> None:
+        self.failures.setdefault(check, (name, detail))
+
+    def result(self, check: str, name: str) -> CheckResult:
+        """The first failure of ``check``, or its pass under ``name``."""
+        if check not in self.failures:
+            return _check(name, True)
+        fail_name, detail = self.failures[check]
+        return _check(fail_name, False, detail)
 
 
-def _check_conservation(max_length: int) -> CheckResult:
-    bad = 0
+def _failed_on(path: paths.DeutschPath) -> str:
+    return f"failed on {paths.render_path(path)!r}"
+
+
+def _take_census(max_length: int) -> _Census:
+    census = _Census()
     for n in range(max_length + 1):
+        mountains = 0
         for p in paths.enumerate_deutsch(n):
             hs = paths.heights(p)
             if any(h < 0 for h in hs) or (hs and hs[-1] != 0):
-                bad += 1
-    return _check(
-        f"paths: every enumerated path stays on or above ground and ends there (n <= {max_length})",
-        bad == 0,
-        f"{bad} bad paths",
-    )
+                census.bad_paths += 1
+            mountains += paths.as_mountain(p) is not None
+        census.mountains.append(mountains)
+        if mountains != numbers.count_mountains(n) or mountains != (
+            numbers.fibonacci(n - 1) if n >= 2 else 0
+        ):
+            census.fail(
+                "mountains",
+                "paths: mountain census matches the binomial count and F(k-1)",
+                f"k={n}: census {mountains}",
+            )
 
-
-def _check_filter_vs_direct(max_length: int) -> CheckResult:
-    for n in range(max_length + 1):
         via_filter = list(paths.enumerate_nondecreasing_filter(n))
-        via_direct = list(paths.enumerate_nondecreasing_direct(n))
-        if via_filter != via_direct:
-            return _check(
+        census.brute.append(len(via_filter))
+        if via_filter != list(paths.enumerate_nondecreasing_direct(n)):
+            census.fail(
+                "direct",
                 "paths: filtered and structural enumerations agree, in order",
-                False,
                 f"streams differ at length {n}",
             )
-    return _check(
-        f"paths: filtered and structural enumerations agree, in order (n <= {max_length})",
-        True,
-    )
-
-
-def _check_round_trip_paths(max_length: int) -> CheckResult:
-    for n in range(max_length + 1):
-        for p in paths.enumerate_nondecreasing_filter(n):
-            if paths.compose(paths.decompose(p)) != p:
-                return _check(
-                    "paths: compose inverts decompose",
-                    False,
-                    f"failed on {paths.render_path(p)!r}",
-                )
-    return _check(f"paths: compose inverts decompose (n <= {max_length})", True)
-
-
-def _check_round_trip_decompositions(max_length: int) -> CheckResult:
-    for n in range(max_length + 1):
         for dec in paths.iter_decompositions(n):
             if paths.decompose(paths.compose(dec)) != dec:
-                return _check(
+                census.fail(
+                    "decompositions",
                     "paths: decompose inverts compose",
-                    False,
                     f"failed at length {n} on {dec!r}",
                 )
-    return _check(f"paths: decompose inverts compose (n <= {max_length})", True)
+                break
 
-
-def _unit_down_counts(max_semilength: int) -> list[int]:
-    counts = []
-    for n in range(max_semilength + 1):
-        counts.append(
-            sum(
-                1
-                for p in paths.enumerate_nondecreasing_filter(2 * n)
-                if all(not isinstance(s, paths.Down) or s.size == 1 for s in p.steps)
+        encoded = set()
+        unit_down = 0
+        for p in via_filter:
+            if paths.compose(paths.decompose(p)) != p:
+                census.fail("compose", "paths: compose inverts decompose", _failed_on(p))
+            tree = trees.path_to_tree(p)
+            encoded.add(tree)
+            if trees.tree_to_path(tree) != p:
+                census.fail("trees", "trees: tree decoding inverts encoding", _failed_on(p))
+            stats = trees.tree_statistics(tree)
+            record = paths.path_stats(p)
+            if stats.weight != n or stats.edge_count + stats.double_count != n:
+                census.fail("weight", "trees: weight equals path length", _failed_on(p))
+            elif stats.double_count != record.downstep_count:
+                census.fail("weight", "trees: doubles count the down-steps", _failed_on(p))
+            elif stats.edge_count != record.up_count:
+                census.fail("weight", "trees: edges count the up-steps", _failed_on(p))
+            if all(not isinstance(s, paths.Down) or s.size == 1 for s in p.steps):
+                unit_down += 1
+                if stats.edge_count != stats.double_count:
+                    census.fail(
+                        "dyck", "trees: unit-down paths mark every edge double", _failed_on(p)
+                    )
+        if n % 2 == 0:
+            census.unit_down.append(unit_down)
+        if len(encoded) != len(via_filter):
+            census.fail(
+                "trees", "trees: distinct paths map to distinct trees", f"collision at length {n}"
             )
-        )
-    return counts
+        if len(encoded) != numbers.count_nondecreasing_closed(n):
+            census.fail(
+                "tree-count",
+                "trees: trees of weight n are equinumerous with the paths",
+                f"n={n}: {len(encoded)}",
+            )
+    return census
 
 
-def _check_unit_down_restriction(max_length: int) -> CheckResult:
+def _check_unit_down_restriction(max_length: int, brute: list[int]) -> CheckResult:
     top = max_length // 2
-    brute = _unit_down_counts(top)
     expected = [numbers.fibonacci(2 * n - 1) for n in range(top + 1)]
     coeffs = series.gf_coefficients("dyck-nondecreasing", top)
     by_series = [c.numerator for c in coeffs]
@@ -131,99 +160,6 @@ def _check_unit_down_restriction(max_length: int) -> CheckResult:
         f"paths: unit-down restriction counts F(2n-1) and matches its series (2n <= {max_length})",
         ok,
         f"brute {brute}, fibonacci {expected}, series {by_series}",
-    )
-
-
-def _mountain_census(k: int) -> int:
-    return sum(1 for p in paths.enumerate_deutsch(k) if paths.as_mountain(p) is not None)
-
-
-def _check_mountain_census(max_length: int) -> CheckResult:
-    for k in range(max_length + 1):
-        census = _mountain_census(k)
-        if census != numbers.count_mountains(k) or census != (
-            numbers.fibonacci(k - 1) if k >= 2 else 0
-        ):
-            return _check(
-                "paths: mountain census matches the binomial count and F(k-1)",
-                False,
-                f"k={k}: census {census}",
-            )
-    return _check(
-        f"paths: mountain census matches the binomial count and F(k-1) (k <= {max_length})",
-        True,
-    )
-
-
-def _check_tree_round_trip(max_length: int) -> CheckResult:
-    for n in range(max_length + 1):
-        seen = set()
-        count = 0
-        for p in paths.enumerate_nondecreasing_filter(n):
-            tree = trees.path_to_tree(p)
-            if trees.tree_to_path(tree) != p:
-                return _check(
-                    "trees: tree decoding inverts encoding",
-                    False,
-                    f"failed on {paths.render_path(p)!r}",
-                )
-            seen.add(tree)
-            count += 1
-        if len(seen) != count:
-            return _check(
-                "trees: distinct paths map to distinct trees",
-                False,
-                f"collision at length {n}",
-            )
-    return _check(
-        f"trees: encoding and decoding are mutually inverse and injective (n <= {max_length})",
-        True,
-    )
-
-
-def _check_tree_weight(max_length: int) -> CheckResult:
-    for n in range(max_length + 1):
-        for p in paths.enumerate_nondecreasing_filter(n):
-            stats = trees.tree_statistics(trees.path_to_tree(p))
-            record = paths.path_stats(p)
-            if stats.weight != n or stats.edge_count + stats.double_count != n:
-                return _check(
-                    "trees: weight equals path length",
-                    False,
-                    f"failed on {paths.render_path(p)!r}",
-                )
-            if stats.double_count != record.downstep_count:
-                return _check(
-                    "trees: doubles count the down-steps",
-                    False,
-                    f"failed on {paths.render_path(p)!r}",
-                )
-            if stats.edge_count != record.up_count:
-                return _check(
-                    "trees: edges count the up-steps",
-                    False,
-                    f"failed on {paths.render_path(p)!r}",
-                )
-    return _check(
-        f"trees: weight splits into edges = up-steps plus doubles = down-steps (n <= {max_length})",
-        True,
-    )
-
-
-def _check_tree_dyck_specialisation(max_length: int) -> CheckResult:
-    for n in range(max_length + 1):
-        for p in paths.enumerate_nondecreasing_filter(n):
-            if any(isinstance(s, paths.Down) and s.size != 1 for s in p.steps):
-                continue
-            stats = trees.tree_statistics(trees.path_to_tree(p))
-            if stats.edge_count != stats.double_count:
-                return _check(
-                    "trees: unit-down paths mark every edge double",
-                    False,
-                    f"failed on {paths.render_path(p)!r}",
-                )
-    return _check(
-        f"trees: unit-down paths mark every edge double (n <= {max_length})", True
     )
 
 
@@ -251,9 +187,8 @@ def _check_five_forms(order: int) -> CheckResult:
     )
 
 
-def _check_series_vs_brute(max_length: int) -> CheckResult:
+def _check_series_vs_brute(max_length: int, brute: list[int]) -> CheckResult:
     by_series = _counts_by_series(max_length)
-    brute = _brute_counts(max_length)
     return _check(
         f"series: with-empty coefficients equal the brute census (n <= {max_length})",
         by_series == brute,
@@ -261,15 +196,13 @@ def _check_series_vs_brute(max_length: int) -> CheckResult:
     )
 
 
-def _check_mountain_series(max_length: int) -> CheckResult:
+def _check_mountain_series(max_length: int, census: list[int]) -> CheckResult:
     coeffs = series.gf_coefficients("mountain", SERIES_ORDER)
     fib_ok = all(
         coeffs[k] == (numbers.fibonacci(k - 1) if k >= 2 else 0)
         for k in range(SERIES_ORDER + 1)
     )
-    census_ok = all(
-        coeffs[k] == _mountain_census(k) for k in range(min(max_length, 12) + 1)
-    )
+    census_ok = all(coeffs[k] == census[k] for k in range(min(max_length, 12) + 1))
     return _check(
         "series: mountain coefficients equal F(k-1) and the brute census",
         fib_ok and census_ok,
@@ -355,7 +288,7 @@ def _check_pell_binet() -> CheckResult:
     )
 
 
-def _check_closed_count_routes(max_length: int) -> CheckResult:
+def _check_closed_count_routes(max_length: int, brute: list[int]) -> CheckResult:
     by_series = _counts_by_series(SEQUENCE_LIMIT)
     for n in range(SEQUENCE_LIMIT + 1):
         closed = numbers.count_nondecreasing_closed(n)
@@ -365,7 +298,6 @@ def _check_closed_count_routes(max_length: int) -> CheckResult:
                 False,
                 f"n={n}",
             )
-    brute = _brute_counts(max_length)
     if brute != by_series[: max_length + 1]:
         return _check(
             "numbers: closed count equals the brute census", False, f"brute {brute}"
@@ -425,46 +357,48 @@ def _check_tilings() -> CheckResult:
     )
 
 
-def _check_tree_count(max_length: int) -> CheckResult:
-    for n in range(max_length + 1):
-        tree_count = len({trees.path_to_tree(p) for p in paths.enumerate_nondecreasing_filter(n)})
-        if tree_count != numbers.count_nondecreasing_closed(n):
-            return _check(
-                "trees: trees of weight n are equinumerous with the paths",
-                False,
-                f"n={n}: {tree_count}",
-            )
-    return _check(
-        f"trees: trees of weight n are equinumerous with the paths (n <= {max_length})",
-        True,
-    )
-
-
 def run_checks(max_length: int = 12) -> list[CheckResult]:
     """Run every cross check; brute enumerations stop at ``max_length``."""
     if max_length < 0:
         raise ValueError("max length must be >= 0")
-    jobs: list[Callable[[], CheckResult]] = [
-        lambda: _check_conservation(max_length),
-        lambda: _check_filter_vs_direct(max_length),
-        lambda: _check_round_trip_paths(max_length),
-        lambda: _check_round_trip_decompositions(max_length),
-        lambda: _check_unit_down_restriction(max_length),
-        lambda: _check_mountain_census(max_length),
-        lambda: _check_tree_round_trip(max_length),
-        lambda: _check_tree_weight(max_length),
-        lambda: _check_tree_dyck_specialisation(max_length),
-        lambda: _check_tree_count(max_length),
-        lambda: _check_five_forms(SERIES_ORDER),
-        lambda: _check_series_vs_brute(max_length),
-        lambda: _check_mountain_series(max_length),
-        lambda: _check_bundle_geometric(SERIES_ORDER),
-        lambda: _check_partial_fraction_integrality(SERIES_ORDER),
-        _check_division_exactness,
-        _check_star_identity,
-        _check_pell_binet,
-        lambda: _check_closed_count_routes(max_length),
-        _check_mountain_binomials,
-        _check_tilings,
+    census = _take_census(max_length)
+    within = f"(n <= {max_length})"
+    return [
+        _check(
+            f"paths: every enumerated path stays on or above ground and ends there {within}",
+            census.bad_paths == 0,
+            f"{census.bad_paths} bad paths",
+        ),
+        census.result(
+            "direct", f"paths: filtered and structural enumerations agree, in order {within}"
+        ),
+        census.result("compose", f"paths: compose inverts decompose {within}"),
+        census.result("decompositions", f"paths: decompose inverts compose {within}"),
+        _check_unit_down_restriction(max_length, census.unit_down),
+        census.result(
+            "mountains",
+            f"paths: mountain census matches the binomial count and F(k-1) (k <= {max_length})",
+        ),
+        census.result(
+            "trees", f"trees: encoding and decoding are mutually inverse and injective {within}"
+        ),
+        census.result(
+            "weight",
+            f"trees: weight splits into edges = up-steps plus doubles = down-steps {within}",
+        ),
+        census.result("dyck", f"trees: unit-down paths mark every edge double {within}"),
+        census.result(
+            "tree-count", f"trees: trees of weight n are equinumerous with the paths {within}"
+        ),
+        _check_five_forms(SERIES_ORDER),
+        _check_series_vs_brute(max_length, census.brute),
+        _check_mountain_series(max_length, census.mountains),
+        _check_bundle_geometric(SERIES_ORDER),
+        _check_partial_fraction_integrality(SERIES_ORDER),
+        _check_division_exactness(),
+        _check_star_identity(),
+        _check_pell_binet(),
+        _check_closed_count_routes(max_length, census.brute),
+        _check_mountain_binomials(),
+        _check_tilings(),
     ]
-    return [job() for job in jobs]

@@ -4,7 +4,8 @@ Each case breaks one function that ``verify`` calls, through the module
 attribute ``verify`` uses, so that it answers wrongly on one small
 input.  The full result list of ``verify --max 6`` is then pinned: the
 targeted check must fail with the same name and detail as before, so no
-enumeration check can go vacuous unnoticed.
+enumeration check can go vacuous unnoticed.  A further test counts the
+calls of the four enumeration routes: one walk each per length.
 """
 
 from __future__ import annotations
@@ -311,3 +312,34 @@ def test_fault_fails_its_check(monkeypatch, check):
         *(cli_line(*row) for row in expected),
         f"{len(PASSING) - len(failures)}/{len(PASSING)} checks passed",
     ]
+
+
+def test_each_route_is_walked_once_per_length(monkeypatch):
+    calls = dict.fromkeys(
+        (
+            "enumerate_deutsch",
+            "enumerate_nondecreasing_filter",
+            "enumerate_nondecreasing_direct",
+            "iter_decompositions",
+        ),
+        0,
+    )
+
+    def counted(name, original):
+        def wrapper(n):
+            calls[name] += 1
+            return original(n)
+
+        return wrapper
+
+    # the wrappers also see the walks the filter and direct routes make
+    for name in calls:
+        monkeypatch.setattr(paths, name, counted(name, getattr(paths, name)))
+    assert all(r.passed for r in verify.run_checks(MAX_LENGTH))
+    lengths = MAX_LENGTH + 1
+    assert calls == {
+        "enumerate_deutsch": 2 * lengths,
+        "enumerate_nondecreasing_filter": lengths,
+        "enumerate_nondecreasing_direct": lengths,
+        "iter_decompositions": 2 * lengths,
+    }
