@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on usage errors
-including malformed paths, trees and form names.  All output is
+including malformed paths, trees and form names, and on lengths past
+what the recursive enumerators reach.  All output is
 deterministic byte for byte given identical flags; JSON output is line
 oriented where a command prints several records.
 """
@@ -208,6 +209,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    except (ValueError, ArithmeticError) as exc:
+    # the recursive enumerators meet the interpreter's depth limit on
+    # long lengths; BrokenPipeError still propagates, as under `| head`
+    except (ValueError, ArithmeticError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -293,21 +293,23 @@ def enumerate_tilings(n: int) -> Iterator[Tiling]:
     """
     if n < 0:
         raise ValueError("length must be >= 0")
-    prefix: list[Piece] = []
 
-    def extend(remaining: int) -> Iterator[Tiling]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        prefix.append(Piece.SQUARE)
-        yield from extend(remaining - 1)
-        prefix.pop()
-        if remaining >= 2:
-            prefix.append(Piece.DOMINO)
-            yield from extend(remaining - 2)
-            prefix.pop()
+    def walk() -> Iterator[Tiling]:
+        # lexicographic successor in a loop, so no length meets the
+        # recursion limit
+        tiling = [Piece.SQUARE] * n
+        while True:
+            yield tuple(tiling)
+            free = 0
+            # the last square with a cell after it becomes a domino
+            while tiling and not (tiling[-1] is Piece.SQUARE and free):
+                free += tiling.pop().width
+            if not tiling:
+                return
+            tiling[-1] = Piece.DOMINO
+            tiling.extend([Piece.SQUARE] * (free - 1))
 
-    return extend(n)
+    return walk()
 
 
 def count_tilings(n: int) -> int:

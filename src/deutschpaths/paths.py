@@ -180,7 +180,7 @@ def path_from_json(text: str) -> DeutschPath:
     """Inverse of :func:`path_to_json`; rejects malformed records."""
     try:
         record = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise PathTokenError(f"bad path record: {exc}") from None
     if not isinstance(record, dict) or set(record) != {"steps"}:
         raise PathTokenError('path record must be an object with a "steps" key')

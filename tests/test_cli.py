@@ -189,6 +189,12 @@ class TestErrors:
     def test_bad_tree_json(self):
         self.check("path", "--tree", "not json", fragment="error:")
 
+    def test_deeply_nested_tree_record(self):
+        self.check("path", "--tree", "[" * 100_000, fragment="error: bad tree record")
+
+    def test_brute_count_past_the_recursion_limit(self):
+        self.check("count", "--length", "1200", "--method", "brute", fragment="error:")
+
     def test_bad_tree_marks(self):
         self.check(
             "path",

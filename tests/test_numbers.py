@@ -140,6 +140,9 @@ class TestTilings:
         assert list(enumerate_tilings(0)) == [()]
         assert count_tilings(0) == 1
 
+    def test_first_tiling_streams_past_the_recursion_limit(self):
+        assert next(enumerate_tilings(5000)) == (Piece.SQUARE,) * 5000
+
     @pytest.mark.parametrize("n", range(20))
     def test_counts(self, n):
         tilings = list(enumerate_tilings(n))

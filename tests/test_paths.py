@@ -112,7 +112,14 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"steps": "U"}', '["U"]', '{"steps": [1]}', '{"moves": []}', "not json"],
+        [
+            '{"steps": "U"}',
+            '["U"]',
+            '{"steps": [1]}',
+            '{"moves": []}',
+            "not json",
+            pytest.param("[" * 100_000, id="deep-nesting"),
+        ],
     )
     def test_bad_json_records(self, text):
         with pytest.raises(PathTokenError):

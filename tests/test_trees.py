@@ -199,6 +199,7 @@ class TestSerialisation:
             '{"backbone":["d"],"bundles":"no"}',
             '{"backbone":["d"],"bundles":[["d"]]}',
             "junk",
+            pytest.param("[" * 100_000, id="deep-nesting"),
         ],
     )
     def test_bad_records(self, text):
