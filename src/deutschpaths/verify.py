@@ -196,13 +196,13 @@ def _check_series_vs_brute(max_length: int, brute: list[int]) -> CheckResult:
     )
 
 
-def _check_mountain_series(max_length: int, census: list[int]) -> CheckResult:
+def _check_mountain_series(max_length: int, mountains: list[int]) -> CheckResult:
     coeffs = series.gf_coefficients("mountain", SERIES_ORDER)
     fib_ok = all(
         coeffs[k] == (numbers.fibonacci(k - 1) if k >= 2 else 0)
         for k in range(SERIES_ORDER + 1)
     )
-    census_ok = all(coeffs[k] == census[k] for k in range(min(max_length, 12) + 1))
+    census_ok = all(coeffs[k] == mountains[k] for k in range(min(max_length, 12) + 1))
     return _check(
         "series: mountain coefficients equal F(k-1) and the brute census",
         fib_ok and census_ok,
