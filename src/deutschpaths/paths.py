@@ -20,7 +20,8 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import pairwise
+from functools import cache
+from itertools import combinations, combinations_with_replacement, pairwise, product
 from typing import Iterator
 
 __all__ = [
@@ -102,14 +103,10 @@ Step = Up | Down
 
 UP = Up()
 
-_DOWN_CACHE: dict[int, Down] = {}
 
-
+@cache
 def _down(size: int) -> Down:
-    step = _DOWN_CACHE.get(size)
-    if step is None:
-        step = _DOWN_CACHE[size] = Down(size)
-    return step
+    return Down(size)
 
 
 def _rise(step: Step) -> int:
@@ -148,7 +145,11 @@ def _parse_token(token: str) -> Step:
     match = _DOWN_TOKEN.fullmatch(token)
     if match is None:
         raise PathTokenError(f"bad step token {token!r}")
-    return _down(int(match.group(1)))
+    try:
+        size = int(match.group(1))
+    except ValueError as exc:  # more digits than Python turns into an int
+        raise PathTokenError(f"bad step token: {exc}") from None
+    return _down(size)
 
 
 def parse_path(text: str) -> DeutschPath:
@@ -180,7 +181,8 @@ def path_from_json(text: str) -> DeutschPath:
     """Inverse of :func:`path_to_json`; rejects malformed records."""
     try:
         record = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # JSONDecodeError is a ValueError, as is an integer past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise PathTokenError(f"bad path record: {exc}") from None
     if not isinstance(record, dict) or set(record) != {"steps"}:
         raise PathTokenError('path record must be an object with a "steps" key')
@@ -421,74 +423,51 @@ def enumerate_nondecreasing_filter(n: int) -> Iterator[DeutschPath]:
 
 
 def _compositions_exact(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # ordered compositions of total into exactly `parts` positive parts
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions_exact(total - first, parts - 1):
-            yield (first,) + rest
+    # ordered compositions of total into exactly `parts` positive parts,
+    # one per set of parts - 1 cut points inside 1 .. total-1; the cut
+    # sets, and so the compositions, come in lexicographic order
+    for cuts in combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in pairwise((0, *cuts, total)))
 
 
-def _mountains_of_length(length: int) -> Iterator[Mountain]:
-    for ups in range(1, length):
-        parts = length - ups
-        if parts > ups:
-            continue
-        for descent in _compositions_exact(ups, parts):
-            yield Mountain(ups, descent)
+def _mountains_of_length(length: int) -> list[Mountain]:
+    return [Mountain(u, d) for u in range(1, length) for d in _compositions_exact(u, length - u)]
 
 
-def _bundles_of_total(total: int) -> Iterator[tuple[Mountain, ...]]:
-    # ordered mountain sequences with the given total length
+def _mountain_runs(total: int) -> Iterator[tuple[Mountain, ...]]:
+    # ordered mountain sequences of the given total length; a mountain is
+    # at least 2 steps long, so the lengths less one compose total - count.
+    # Most mountains come first: `product` builds the full list of each
+    # factor, and long mountains far outnumber short ones.
     if total == 0:
         yield ()
-        return
-    for first_len in range(2, total + 1):
-        if total - first_len == 1:
-            continue
-        for mountain in _mountains_of_length(first_len):
-            for rest in _bundles_of_total(total - first_len):
-                yield (mountain,) + rest
-
-
-def _bundle_rows(levels: int, budget: int) -> Iterator[tuple[tuple[Mountain, ...], ...]]:
-    if levels == 0:
-        if budget == 0:
-            yield ()
-        return
-    for spent in range(budget + 1):
-        if spent == 1:
-            continue
-        for bundle in _bundles_of_total(spent):
-            for rest in _bundle_rows(levels - 1, budget - spent):
-                yield (bundle,) + rest
+    for count in range(total // 2, 0, -1):
+        for less_one in _compositions_exact(total - count, count):
+            yield from product(*(_mountains_of_length(k + 1) for k in less_one))
 
 
 def iter_decompositions(total_length: int) -> Iterator[Decomposition]:
     """Yield every decomposition whose composed path has the given length.
 
-    The order is deterministic but not the canonical path order; callers
-    that need canonical order compose and re-sort, as
+    The mountains of a path, read left to right, form one run, and its
+    bundles are that run cut at ``height - 1`` weakly increasing points.
+    The order is by height, then number of home-run parts, home run,
+    mountain run and cut points.  It is not the canonical path order;
+    callers that need that compose and re-sort, as
     :func:`enumerate_nondecreasing_direct` does.
     """
     if total_length < 0:
         raise ValueError("length must be >= 0")
-
-    def walk() -> Iterator[Decomposition]:
-        if total_length == 0:
-            yield Decomposition(0, (), ())
-            return
-        for height in range(1, total_length):
-            for parts in range(1, height + 1):
-                budget = total_length - height - parts
-                if budget < 0:
-                    break
-                for homerun in _compositions_exact(height, parts):
-                    for bundles in _bundle_rows(height, budget):
-                        yield Decomposition(height, bundles, homerun)
-
-    return walk()
+    if total_length == 0:
+        return iter((Decomposition(0, (), ()),))
+    return (
+        Decomposition(height, tuple(run[a:b] for a, b in pairwise((0, *cuts, len(run)))), homerun)
+        for height in range(1, total_length)
+        for parts in range(1, min(height, total_length - height) + 1)
+        for homerun in _compositions_exact(height, parts)
+        for run in _mountain_runs(total_length - height - parts)
+        for cuts in combinations_with_replacement(range(len(run) + 1), height - 1)
+    )
 
 
 def enumerate_nondecreasing_direct(n: int) -> Iterator[DeutschPath]:
@@ -498,9 +477,7 @@ def enumerate_nondecreasing_direct(n: int) -> Iterator[DeutschPath]:
     re-sorts into the canonical lexicographic order so the stream can be
     compared step for step with :func:`enumerate_nondecreasing_filter`.
     """
-    paths = [compose(d) for d in iter_decompositions(n)]
-    paths.sort(key=DeutschPath.sort_key)
-    return iter(paths)
+    return iter(sorted(map(compose, iter_decompositions(n)), key=DeutschPath.sort_key))
 
 
 @dataclass(frozen=True, slots=True)

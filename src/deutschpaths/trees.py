@@ -224,7 +224,8 @@ def tree_from_json(text: str) -> MarkedTree:
     """Inverse of :func:`tree_to_json`; checks shape, not tree invariants."""
     try:
         record = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # JSONDecodeError is a ValueError, as is an integer past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise TreeRecordError(f"bad tree record: {exc}") from None
     if not isinstance(record, dict) or set(record) != {"backbone", "bundles"}:
         raise TreeRecordError('tree record must have exactly the keys "backbone" and "bundles"')

@@ -1,0 +1,23 @@
+"""Fixtures shared by the test modules."""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default int-to-str digit limit for the test's run.
+
+    ``cli.main`` lifts the limit for the whole process, so a test run
+    after an in-process CLI call would not meet it otherwise.  Python
+    3.10 has no limit, and the test is skipped there.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit before Python 3.11")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)

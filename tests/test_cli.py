@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import errno
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+
+from deutschpaths import cli
 
 
 def run_cli(*args):
@@ -224,6 +229,35 @@ class TestErrors:
     def test_missing_argument(self):
         result = run_cli("count")
         assert result.returncode == 2
+
+
+class _ClosedAfterOneLine(io.StringIO):
+    # a reader such as `head -1` that leaves after the first line
+    def write(self, text):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(text)
+
+
+def test_main_lets_a_closed_pipe_through():
+    with pytest.raises(BrokenPipeError):
+        with contextlib.redirect_stdout(_ClosedAfterOneLine()):
+            cli.main(["list", "--length", "8"])
+
+
+def test_closed_pipe_ends_the_process_quietly():
+    # the listing is far larger than a pipe buffer, so the writer is
+    # still writing when the reader closes its end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deutschpaths", "list", "--length", "14"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"U U U U U U U U U U U U U D13\n"
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert stderr == b""
 
 
 def test_output_is_deterministic():

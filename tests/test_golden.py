@@ -2,8 +2,9 @@
 
 Each file under ``tests/golden`` holds the stdout of one invocation:
 every named form's expansion, the series count, the count table, the
-cross-check report and the canonical path listing, text and JSON.  A
-change that keeps the package's behaviour keeps these bytes.
+cross-check report, the canonical path listing, text and JSON, and the
+README's command-line examples.  A change that keeps the package's
+behaviour keeps these bytes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,18 @@ CASES = {
     "list-10.txt": ["list", "--length", "10"],
     "list-10.jsonl": ["list", "--length", "10", "--json"],
     "verify-8.txt": ["verify", "--max", "8"],
+    # the README's command-line examples; its `verify --max 12` has the
+    # shape of verify-8.txt
+    "count-9.txt": ["count", "--length", "9"],
+    "count-90-series.txt": ["count", "--length", "90", "--method", "series"],
+    "table-14.jsonl": ["table", "--max", "14", "--json"],
+    "list-5.txt": ["list", "--length", "5"],
+    "tree-UUD2UD1.txt": ["tree", "--path", "U U D2 U D1"],
+    "tree-UUD2UD1.json": ["tree", "--path", "U U D2 U D1", "--json"],
+    "path-example.txt": ["path", "--tree", '{"backbone":["d"],"bundles":[[["s","d"]]]}'],
+    "gf-with-empty-14.txt": ["gf", "--form", "with-empty", "--terms", "14"],
+    "mountains-10.txt": ["mountains", "--steps", "10"],
+    "tilings-4-list.txt": ["tilings", "--length", "4", "--list"],
 }
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -91,6 +94,10 @@ class TestParsing:
         with pytest.raises(PathTokenError):
             parse_path(f"U {token}")
 
+    def test_down_size_past_the_digit_limit(self, int_digit_limit):
+        with pytest.raises(PathTokenError):
+            parse_path("D" + "9" * 5000)
+
     def test_down_size_must_be_positive(self):
         with pytest.raises(ValueError):
             Down(0)
@@ -124,6 +131,10 @@ class TestParsing:
     def test_bad_json_records(self, text):
         with pytest.raises(PathTokenError):
             path_from_json(text)
+
+    def test_json_integer_past_the_digit_limit(self, int_digit_limit):
+        with pytest.raises(PathTokenError):
+            path_from_json('{"steps": ' + "1" * 5000 + "}")
 
 
 class TestValidation:
@@ -223,6 +234,8 @@ class TestEnumeration:
             enumerate_deutsch(-1)
         with pytest.raises(ValueError):
             enumerate_nondecreasing_direct(-1)
+        with pytest.raises(ValueError):
+            iter_decompositions(-1)
 
     def test_filtered_counts_against_dp_oracle(self):
         for n in range(13):
@@ -317,6 +330,31 @@ class TestDecomposition:
         for n in range(11):
             for dec in iter_decompositions(n):
                 assert decompose(compose(dec)) == dec
+
+    @pytest.mark.parametrize("n", range(14))
+    def test_decompositions_are_those_of_the_filtered_paths(self, n):
+        # each decomposition once, whatever order the generator takes
+        assert Counter(iter_decompositions(n)) == Counter(
+            decompose(p) for p in enumerate_nondecreasing_filter(n)
+        )
+
+    def test_first_decomposition_of_a_long_length_streams(self):
+        # Runs with the most mountains come first.  The other way round the
+        # first run is one mountain of length n - 2, and building it builds
+        # every mountain of that length; the address-space limit turns that
+        # into a quick failure instead of a machine out of memory.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from deutschpaths import iter_decompositions\n"
+            "print(repr(next(iter_decompositions(5000))))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+        )
+        assert result.returncode == 0, result.stderr
+        peaks = (Mountain(1, (1,)),) * 2499
+        assert result.stdout == repr(Decomposition(1, (peaks,), (1,))) + "\n"
 
     def test_mountains_never_sit_at_the_top_level(self):
         # the home run follows the last backbone step immediately

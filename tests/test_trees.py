@@ -206,6 +206,10 @@ class TestSerialisation:
         with pytest.raises(TreeRecordError):
             tree_from_json(text)
 
+    def test_json_integer_past_the_digit_limit(self, int_digit_limit):
+        with pytest.raises(TreeRecordError):
+            tree_from_json('{"backbone": ' + "1" * 5000 + "}")
+
     def test_outline(self):
         tree = path_to_tree(parse_path("U D1 U U D2"))
         assert render_outline(tree) == (
