@@ -204,8 +204,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     # Counts past n ~ 11,240 have more digits than Python >= 3.11 turns
     # into str by default (3.10 has neither the limit nor its setter).
-    # It is lifted after parsing, so argv integers still meet it.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # It is lifted after parsing, so argv integers still meet it, and
+    # set back however the call ends, so only this call runs without it.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
@@ -214,3 +216,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)

@@ -86,8 +86,37 @@ def half_companion_pell(n: int) -> int:
     return prev
 
 
+class _DerivedOperators:
+    """Subtraction and the reflected ``-`` and ``/``, spelled once.
+
+    Each calls the subclass's own ``_coerce``, ``+``, unary ``-`` and
+    ``/``, so the exact types share this spelling and no arithmetic.
+    ``_coerce`` returns None for an operand it cannot lift.
+    """
+
+    __slots__ = ()
+
+    def __sub__(self, other: object):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __rsub__(self, other: object):
+        lhs = self._coerce(other)
+        if lhs is None:
+            return NotImplemented
+        return lhs - self
+
+    def __rtruediv__(self, other: object):
+        lhs = self._coerce(other)
+        if lhs is None:
+            return NotImplemented
+        return lhs / self
+
+
 @dataclass(frozen=True, slots=True)
-class QuadraticNumber:
+class QuadraticNumber(_DerivedOperators):
     """Exact element a + b*sqrt(2) with rational a and b."""
 
     a: Fraction
@@ -121,18 +150,6 @@ class QuadraticNumber:
     def __neg__(self) -> QuadraticNumber:
         return QuadraticNumber(-self.a, -self.b)
 
-    def __sub__(self, other: object) -> QuadraticNumber:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> QuadraticNumber:
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs - self
-
     def __mul__(self, other: object) -> QuadraticNumber:
         rhs = self._coerce(other)
         if rhs is None:
@@ -160,12 +177,6 @@ class QuadraticNumber:
             raise ZeroDivisionError("division by a number of norm zero")
         flipped = self * rhs.conjugate()
         return QuadraticNumber(flipped.a / n, flipped.b / n)
-
-    def __rtruediv__(self, other: object) -> QuadraticNumber:
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs / self
 
     def __pow__(self, exponent: int) -> QuadraticNumber:
         if not isinstance(exponent, int) or exponent < 0:

@@ -149,7 +149,7 @@ def _parse_token(token: str) -> Step:
         size = int(match.group(1))
     except ValueError as exc:  # more digits than Python turns into an int
         raise PathTokenError(f"bad step token: {exc}") from None
-    return _down(size)
+    return Down(size)
 
 
 def parse_path(text: str) -> DeutschPath:

@@ -22,6 +22,8 @@ import json
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from .numbers import _DerivedOperators
+
 __all__ = [
     "ZeroConstantTermError",
     "NonzeroConstantTermError",
@@ -60,7 +62,7 @@ def _fractions(values: Iterable[Coeff]) -> list[Fraction]:
     return [Fraction(v) for v in values]
 
 
-class TruncatedSeries:
+class TruncatedSeries(_DerivedOperators):
     """Power series known through z**order, with exact coefficients.
 
     Supports +, -, * and / with other series and with int or Fraction
@@ -138,18 +140,6 @@ class TruncatedSeries:
     def __neg__(self) -> TruncatedSeries:
         return TruncatedSeries([-c for c in self._coeffs])
 
-    def __sub__(self, other: object) -> TruncatedSeries:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> TruncatedSeries:
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs - self
-
     def __mul__(self, other: object) -> TruncatedSeries:
         rhs = self._coerce(other)
         if rhs is None:
@@ -182,12 +172,6 @@ class TruncatedSeries:
                     acc -= rhs._coeffs[k] * out[n - k]
             out.append(acc / rhs._coeffs[0])
         return TruncatedSeries(out)
-
-    def __rtruediv__(self, other: object) -> TruncatedSeries:
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs / self
 
 
 class Polynomial:
@@ -262,7 +246,7 @@ class Polynomial:
         return TruncatedSeries(self._coeffs, order)
 
 
-class RationalGF:
+class RationalGF(_DerivedOperators):
     """Quotient of two polynomials with an invertible denominator.
 
     Supports +, -, * and / with other rational functions and with int or
@@ -317,18 +301,6 @@ class RationalGF:
     def __neg__(self) -> RationalGF:
         return RationalGF(-self.numerator, self.denominator)
 
-    def __sub__(self, other: object) -> RationalGF:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> RationalGF:
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs - self
-
     def __mul__(self, other: object) -> RationalGF:
         rhs = self._coerce(other)
         if rhs is None:
@@ -349,12 +321,6 @@ class RationalGF:
         return RationalGF(
             self.numerator * rhs.denominator, self.denominator * rhs.numerator
         )
-
-    def __rtruediv__(self, other: object) -> RationalGF:
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs / self
 
     def coefficients(self, order: int) -> tuple[Fraction, ...]:
         if order < 0:

@@ -11,9 +11,10 @@ import pytest
 def int_digit_limit():
     """Python's default int-to-str digit limit for the test's run.
 
-    ``cli.main`` lifts the limit for the whole process, so a test run
-    after an in-process CLI call would not meet it otherwise.  Python
-    3.10 has no limit, and the test is skipped there.
+    Pins the limit at 4300 whatever the interpreter was started with
+    (``PYTHONINTMAXSTRDIGITS``, ``-X int_max_str_digits``), and restores
+    the old value afterwards.  Python 3.10 has no limit, and the test
+    is skipped there.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("no int-to-str digit limit before Python 3.11")

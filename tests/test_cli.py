@@ -239,10 +239,19 @@ class _ClosedAfterOneLine(io.StringIO):
         return super().write(text)
 
 
-def test_main_lets_a_closed_pipe_through():
+def test_main_lets_a_closed_pipe_through(int_digit_limit):
     with pytest.raises(BrokenPipeError):
         with contextlib.redirect_stdout(_ClosedAfterOneLine()):
             cli.main(["list", "--length", "8"])
+    assert sys.get_int_max_str_digits() == 4300
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["count", "--length", "3"], 0), (["count", "--length", "-1"], 2)]
+)
+def test_main_restores_the_digit_limit(int_digit_limit, capsys, argv, code):
+    assert cli.main(argv) == code
+    assert sys.get_int_max_str_digits() == 4300
 
 
 def test_closed_pipe_ends_the_process_quietly():

@@ -88,6 +88,15 @@ class TestQuadraticNumber:
         assert QuadraticNumber(1, 1) * 2 == QuadraticNumber(2, 2)
         assert 1 + SQRT2 == SILVER_RATIO
         assert QuadraticNumber(3, 1) - 1 == QuadraticNumber(2, 1)
+        x, half = SILVER_RATIO, Fraction(1, 2)
+        assert x - 3 == QuadraticNumber(-2, 1)
+        assert 3 - x == QuadraticNumber(2, -1)
+        assert 3 / x == QuadraticNumber(-3, 3)
+        assert x - half == QuadraticNumber(half, 1)
+        assert half - x == QuadraticNumber(-half, -1)
+        assert half / x == QuadraticNumber(-half, half)
+        assert 1 / x == QuadraticNumber(-1, 1)
+        assert x - x == QuadraticNumber(0, 0)
 
 
 class TestClosedCounts:

@@ -38,6 +38,7 @@ from deutschpaths import (
     valley_levels,
     validate,
 )
+from deutschpaths import paths
 
 # Counts of all weakly-increasing-valley paths by length, 0 through 12.
 # Derived by dynamic programming (see _count_nondecreasing_dp below) and
@@ -97,6 +98,12 @@ class TestParsing:
     def test_down_size_past_the_digit_limit(self, int_digit_limit):
         with pytest.raises(PathTokenError):
             parse_path("D" + "9" * 5000)
+
+    def test_parsing_leaves_the_down_cache_alone(self):
+        # only enumeration and compose, which reuse small sizes, share Downs
+        before = paths._down.cache_info().currsize
+        assert parse_path("U D" + "9" * 60).steps[1] == Down(int("9" * 60))
+        assert paths._down.cache_info().currsize == before
 
     def test_down_size_must_be_positive(self):
         with pytest.raises(ValueError):

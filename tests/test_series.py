@@ -12,6 +12,7 @@ from deutschpaths import (
     NonzeroConstantTermError,
     Polynomial,
     RationalGF,
+    SILVER_RATIO,
     TruncatedSeries,
     UnknownFormError,
     ZeroConstantTermError,
@@ -62,6 +63,16 @@ class TestTruncatedSeries:
         assert a.coefficients == (1, 2, 0, 0, 0)
         assert a.truncate(1).coefficients == (1, 2)
 
+    def test_operators_coerce_scalars(self):
+        x, half = 1 + 2 * TruncatedSeries.variable(3), Fraction(1, 2)
+        assert (x - 3).coefficients == (-2, 2, 0, 0)
+        assert (3 - x).coefficients == (2, -2, 0, 0)
+        assert (3 / x).coefficients == (3, -6, 12, -24)
+        assert (x - half).coefficients == (half, 2, 0, 0)
+        assert (half - x).coefficients == (-half, -2, 0, 0)
+        assert (half / x).coefficients == (half, -1, 2, -4)
+        assert (x - x).coefficients == (0, 0, 0, 0)
+
     @given(
         st.lists(rationals, min_size=5, max_size=5),
         st.lists(rationals, min_size=5, max_size=5),
@@ -110,6 +121,14 @@ class TestRationalGF:
         assert (Fraction(1, 2) * z + 3).coefficients(2) == (3, Fraction(1, 2), 0)
         assert (2 / (1 - z)).coefficients(3) == (2, 2, 2, 2)
         assert (z / 2).coefficients(1) == (0, Fraction(1, 2))
+        x, half, one = 1 + 2 * z, Fraction(1, 2), Polynomial([1])
+        assert x - 3 == RationalGF(Polynomial([-2, 2]), one)
+        assert 3 - x == RationalGF(Polynomial([2, -2]), one)
+        assert 3 / x == RationalGF(Polynomial([3]), Polynomial([1, 2]))
+        assert x - half == RationalGF(Polynomial([half, 2]), one)
+        assert half - x == RationalGF(Polynomial([-half, -2]), one)
+        assert half / x == RationalGF(Polynomial([half]), Polynomial([1, 2]))
+        assert x - x == 0
 
     def test_equality_is_by_value(self):
         z = RationalGF(Polynomial([0, 1]), Polynomial([1]))
@@ -136,6 +155,30 @@ class TestRationalGF:
         assert Polynomial([1, 0, 0]).degree == 0
 
 
+@pytest.mark.parametrize(
+    "x",
+    [
+        SILVER_RATIO,
+        TruncatedSeries.variable(3),
+        RationalGF(Polynomial([0, 1]), Polynomial([1])),
+    ],
+    ids=lambda x: type(x).__name__,
+)
+def test_exact_types_reject_other_operands(x):
+    name = type(x).__name__
+    cases = [
+        (lambda: x - "a", f"-: '{name}' and 'str'"),
+        (lambda: "a" - x, f"-: 'str' and '{name}'"),
+        (lambda: "a" / x, f"/: 'str' and '{name}'"),
+    ]
+    for attempt, operands in cases:
+        with pytest.raises(TypeError) as excinfo:
+            attempt()
+        assert str(excinfo.value) == f"unsupported operand type(s) for {operands}"
+    # slotted all the way up: no instance carries a __dict__
+    assert not hasattr(x, "__dict__")
+
+
 def _gamma_series(z):
     return z * z / (1 - z / (1 - z / (1 - z * z)))
 
@@ -148,7 +191,7 @@ def _tree_form_series(z):
 
 
 # The composite forms in truncated series arithmetic, an engine that
-# shares no code with RationalGF, as a check on the registry's values.
+# shares no arithmetic with RationalGF, as a check on the registry's values.
 TRUNCATED_FORMS = {
     "partial-fractions": lambda z: (
         Fraction(1, 4) / (1 - z)
