@@ -1,10 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on usage errors
-including malformed paths, trees and form names, and on lengths past
-what the recursive enumerators reach.  All output is
-deterministic byte for byte given identical flags; JSON output is line
-oriented where a command prints several records.
+including malformed paths, trees and form names.  No length is refused:
+the enumerating routes take time that grows with the number of paths.
+All output is deterministic byte for byte given identical flags; JSON
+output is line oriented where a command prints several records.
 """
 
 from __future__ import annotations
@@ -211,9 +211,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    # the recursive enumerators meet the interpreter's depth limit on
-    # long lengths; BrokenPipeError still propagates, as under `| head`
-    except (ValueError, ArithmeticError, RecursionError) as exc:
+    # BrokenPipeError propagates, as under `| head`
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -117,11 +117,6 @@ def _token(step: Step) -> str:
     return "U" if isinstance(step, Up) else f"D{step.size}"
 
 
-def _step_key(step: Step) -> tuple[int, int]:
-    # canonical token order: U < D1 < D2 < ...
-    return (0, 0) if isinstance(step, Up) else (1, step.size)
-
-
 @dataclass(frozen=True, slots=True)
 class DeutschPath:
     """Immutable step sequence, not necessarily validated."""
@@ -131,9 +126,9 @@ class DeutschPath:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def sort_key(self) -> tuple[tuple[int, int], ...]:
-        """Key realising the canonical lexicographic order."""
-        return tuple(_step_key(s) for s in self.steps)
+    def sort_key(self) -> tuple[int, ...]:
+        """Key realising the canonical order: U < D1 < D2 < ... is falling rise."""
+        return tuple(-_rise(s) for s in self.steps)
 
 
 _DOWN_TOKEN = re.compile(r"D([1-9][0-9]*)\Z")
@@ -396,23 +391,32 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
     """
     if n < 0:
         raise ValueError("length must be >= 0")
-    prefix: list[Step] = []
 
-    def extend(height: int, remaining: int) -> Iterator[DeutschPath]:
-        if remaining == 0:
-            yield DeutschPath(tuple(prefix))
-            return
-        if _can_finish(height + 1, remaining - 1):
-            prefix.append(UP)
-            yield from extend(height + 1, remaining - 1)
-            prefix.pop()
-        for size in range(1, height + 1):
-            if _can_finish(height - size, remaining - 1):
-                prefix.append(_down(size))
-                yield from extend(height - size, remaining - 1)
-                prefix.pop()
+    def walk() -> Iterator[DeutschPath]:
+        # lexicographic successor in a loop: no frame per step to run out of
+        steps: list[Step] = []
+        height = 0  # level after the steps kept
+        while True:
+            # the least completion climbs, then falls home in one step
+            left = n - len(steps)
+            if left:
+                steps += [UP] * (left - 1)
+                steps.append(_down(height + left - 1))
+            yield DeutschPath(tuple(steps))
+            # the last step that can fall one level further and still finish
+            height = 0  # a whole path ends on the ground
+            while steps:
+                step = steps.pop()
+                height -= _rise(step)
+                size = step.size + 1 if isinstance(step, Down) else 1
+                if size <= height and _can_finish(height - size, n - len(steps) - 1):
+                    break
+            else:
+                return
+            steps.append(_down(size))
+            height -= size
 
-    return extend(0, n) if _can_finish(0, n) else iter(())
+    return walk() if _can_finish(0, n) else iter(())
 
 
 def enumerate_nondecreasing_filter(n: int) -> Iterator[DeutschPath]:

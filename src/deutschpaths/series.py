@@ -242,18 +242,16 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def as_series(self, order: int) -> TruncatedSeries:
-        return TruncatedSeries(self._coeffs, order)
-
 
 class RationalGF(_DerivedOperators):
     """Quotient of two polynomials with an invertible denominator.
 
     Supports +, -, * and / with other rational functions and with int or
     Fraction scalars, so the named forms are written as the formulas
-    they implement.  Equality is equality of values, tested by
-    cross-multiplication, so it holds at every order; results are not
-    reduced to lowest terms.
+    they implement.  Two rational functions are equal when their values
+    are, tested by cross-multiplication, so it holds at every order;
+    results are not reduced to lowest terms.  As with the other exact
+    types, a scalar never compares equal, not even the same constant.
 
     Coefficient extraction runs the recurrence
     c[n] = (p[n] - sum(q[i] * c[n-i], i >= 1)) / q[0]
@@ -280,10 +278,9 @@ class RationalGF(_DerivedOperators):
         return None
 
     def __eq__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, RationalGF):
             return NotImplemented
-        return self.numerator * rhs.denominator == rhs.numerator * self.denominator
+        return self.numerator * other.denominator == other.numerator * self.denominator
 
     __hash__ = None  # equal values may have different numerator/denominator pairs
 

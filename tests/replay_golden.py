@@ -1,0 +1,73 @@
+"""CLI stdout pinned byte for byte against a committed corpus.
+
+Each file under ``tests/golden`` holds the stdout of one invocation:
+every named form's expansion, the series count, the count table, the
+cross-check report, the canonical path listing, text and JSON, and the
+README's command-line examples.  A change that keeps the package's
+behaviour keeps these bytes.
+
+This module holds the one case table, which ``test_golden.py`` runs
+under pytest.  Run as a script it needs only the standard library, so
+any interpreter can replay the corpus::
+
+    PYTHONPATH=src python3 tests/replay_golden.py
+
+It names each case whose output differs and exits 1 if there is one.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+from deutschpaths import FORM_NAMES, cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    **{f"gf-{form}-100.txt": ["gf", "--form", form, "--terms", "100"] for form in FORM_NAMES},
+    **{
+        f"gf-{form}-100.json": ["gf", "--form", form, "--terms", "100", "--json"]
+        for form in FORM_NAMES
+    },
+    "count-2000-series.txt": ["count", "--length", "2000", "--method", "series"],
+    "table-60.jsonl": ["table", "--max", "60", "--json"],
+    "list-10.txt": ["list", "--length", "10"],
+    "list-10.jsonl": ["list", "--length", "10", "--json"],
+    "verify-8.txt": ["verify", "--max", "8"],
+    # the README's command-line examples; its `verify --max 12` has the
+    # shape of verify-8.txt
+    "count-9.txt": ["count", "--length", "9"],
+    "count-90-series.txt": ["count", "--length", "90", "--method", "series"],
+    "table-14.jsonl": ["table", "--max", "14", "--json"],
+    "list-5.txt": ["list", "--length", "5"],
+    "tree-UUD2UD1.txt": ["tree", "--path", "U U D2 U D1"],
+    "tree-UUD2UD1.json": ["tree", "--path", "U U D2 U D1", "--json"],
+    "path-example.txt": ["path", "--tree", '{"backbone":["d"],"bundles":[[["s","d"]]]}'],
+    "gf-with-empty-14.txt": ["gf", "--form", "with-empty", "--terms", "14"],
+    "mountains-10.txt": ["mountains", "--steps", "10"],
+    "tilings-4-list.txt": ["tilings", "--length", "4", "--list"],
+}
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def main() -> int:
+    failed = []
+    for name in sorted(CASES):
+        code, out = run_main(CASES[name])
+        if code != 0 or out != (GOLDEN / name).read_text():
+            failed.append(name)
+            print(f"MISMATCH {name}")
+    print(f"{len(CASES) - len(failed)}/{len(CASES)} golden cases match")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

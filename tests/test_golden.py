@@ -1,55 +1,14 @@
-"""CLI stdout pinned byte for byte against a committed corpus.
+"""CLI stdout pinned byte for byte against the corpus in ``tests/golden``.
 
-Each file under ``tests/golden`` holds the stdout of one invocation:
-every named form's expansion, the series count, the count table, the
-cross-check report, the canonical path listing, text and JSON, and the
-README's command-line examples.  A change that keeps the package's
-behaviour keeps these bytes.
+The case table lives in ``replay_golden.py``, which also replays the
+corpus without pytest.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
-from pathlib import Path
-
 import pytest
 
-from deutschpaths import FORM_NAMES, cli
-
-GOLDEN = Path(__file__).parent / "golden"
-
-CASES = {
-    **{f"gf-{form}-100.txt": ["gf", "--form", form, "--terms", "100"] for form in FORM_NAMES},
-    **{
-        f"gf-{form}-100.json": ["gf", "--form", form, "--terms", "100", "--json"]
-        for form in FORM_NAMES
-    },
-    "count-2000-series.txt": ["count", "--length", "2000", "--method", "series"],
-    "table-60.jsonl": ["table", "--max", "60", "--json"],
-    "list-10.txt": ["list", "--length", "10"],
-    "list-10.jsonl": ["list", "--length", "10", "--json"],
-    "verify-8.txt": ["verify", "--max", "8"],
-    # the README's command-line examples; its `verify --max 12` has the
-    # shape of verify-8.txt
-    "count-9.txt": ["count", "--length", "9"],
-    "count-90-series.txt": ["count", "--length", "90", "--method", "series"],
-    "table-14.jsonl": ["table", "--max", "14", "--json"],
-    "list-5.txt": ["list", "--length", "5"],
-    "tree-UUD2UD1.txt": ["tree", "--path", "U U D2 U D1"],
-    "tree-UUD2UD1.json": ["tree", "--path", "U U D2 U D1", "--json"],
-    "path-example.txt": ["path", "--tree", '{"backbone":["d"],"bundles":[[["s","d"]]]}'],
-    "gf-with-empty-14.txt": ["gf", "--form", "with-empty", "--terms", "14"],
-    "mountains-10.txt": ["mountains", "--steps", "10"],
-    "tilings-4-list.txt": ["tilings", "--length", "4", "--list"],
-}
-
-
-def run_main(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    return code, out.getvalue()
+from replay_golden import CASES, GOLDEN, run_main
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -220,7 +220,7 @@ class TestEnumeration:
         ]
 
     def test_canonical_order_is_sorted(self):
-        for n in range(9):
+        for n in range(11):
             stream = list(enumerate_deutsch(n))
             assert stream == sorted(stream, key=DeutschPath.sort_key)
             assert len(set(stream)) == len(stream)
@@ -243,6 +243,12 @@ class TestEnumeration:
             enumerate_nondecreasing_direct(-1)
         with pytest.raises(ValueError):
             iter_decompositions(-1)
+
+    def test_first_path_streams_at_any_length(self):
+        # the walk keeps no frame per step, so no length meets the
+        # recursion limit, and the first path needs no search
+        assert render_path(next(enumerate_deutsch(5000))) == "U " * 4999 + "D4999"
+        assert render_path(next(enumerate_nondecreasing_filter(1200))) == "U " * 1199 + "D1199"
 
     def test_filtered_counts_against_dp_oracle(self):
         for n in range(13):

@@ -11,6 +11,7 @@ from deutschpaths import (
     FORM_NAMES,
     NonzeroConstantTermError,
     Polynomial,
+    QuadraticNumber,
     RationalGF,
     SILVER_RATIO,
     TruncatedSeries,
@@ -111,7 +112,7 @@ class TestRationalGF:
     def test_matches_series_division(self):
         num, den = Polynomial([0, 0, 1, -1, -1]), Polynomial([1, -2, -2, 2, 1])
         gf = RationalGF(num, den)
-        direct = num.as_series(20) / den.as_series(20)
+        direct = TruncatedSeries(num.coefficients, 20) / TruncatedSeries(den.coefficients, 20)
         assert gf.coefficients(20) == direct.coefficients
 
     def test_operators_coerce_scalars(self):
@@ -128,15 +129,16 @@ class TestRationalGF:
         assert x - half == RationalGF(Polynomial([half, 2]), one)
         assert half - x == RationalGF(Polynomial([-half, -2]), one)
         assert half / x == RationalGF(Polynomial([half]), Polynomial([1, 2]))
-        assert x - x == 0
+        assert x - x == RationalGF(Polynomial([0]), one)
 
     def test_equality_is_by_value(self):
         z = RationalGF(Polynomial([0, 1]), Polynomial([1]))
         unreduced = RationalGF(Polynomial([1, 1]), Polynomial([1, 0, -1]))
         assert unreduced == 1 / (1 - z)
         assert unreduced != 1 / (1 + z)
-        assert (1 - z) / (1 - z) == 1
-        assert 1 + z != 1
+        one = RationalGF(Polynomial([1]), Polynomial([1]))
+        assert (1 - z) / (1 - z) == one
+        assert 1 + z != one
         assert z != "z"
 
     def test_division_by_vanishing_numerator_rejected(self):
@@ -177,6 +179,23 @@ def test_exact_types_reject_other_operands(x):
         assert str(excinfo.value) == f"unsupported operand type(s) for {operands}"
     # slotted all the way up: no instance carries a __dict__
     assert not hasattr(x, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "x, zero",
+    [
+        (SILVER_RATIO, QuadraticNumber(0)),
+        (TruncatedSeries.variable(3), TruncatedSeries.constant(0, 3)),
+        (
+            RationalGF(Polynomial([0, 1]), Polynomial([1])),
+            RationalGF(Polynomial([0]), Polynomial([1])),
+        ),
+    ],
+    ids=lambda x: type(x).__name__,
+)
+def test_exact_types_equal_only_their_own_type(x, zero):
+    assert (x - x == 0) is False
+    assert x - x == zero
 
 
 def _gamma_series(z):
