@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -186,8 +185,9 @@ class QuadraticNumber(_DerivedOperators):
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def as_integer(self) -> int:
@@ -258,25 +258,28 @@ def count_nondecreasing_closed(n: int) -> int:
     return total
 
 
-def _comb0(n: int, k: int) -> int:
-    # binomial with the zero convention outside 0 <= k <= n
-    if k < 0 or k > n or n < 0:
-        return 0
-    return comb(n, k)
-
-
 def count_mountains(k: int) -> int:
     """Number of mountains of length ``k``; 0 for k < 2.
 
     Evaluates the two binomial sums
     sum(C(j-1, 2j-k) for 1 <= j < k) and
     sum(C(k-j-2, j) for 0 <= j < k-1)
-    independently and insists they agree before returning.
+    independently and insists they agree before returning.  Each sum
+    walks its nonzero terms along a diagonal of Pascal's triangle, so a
+    term comes from the one before by small factors and an exact
+    division rather than from a fresh binomial.
     """
     if k < 2:
         return 0
-    by_rise = sum(_comb0(j - 1, 2 * j - k) for j in range(1, k))
-    by_diagonal = sum(_comb0(k - j - 2, j) for j in range(k - 1))
+    low = (k + 1) // 2  # the least j with 2j >= k
+    by_rise = term = low - 1 if k % 2 else 1  # C(low-1, k mod 2)
+    for j in range(low + 1, k):
+        term = term * (j - 1) * (k - j) // ((2 * j - k - 1) * (2 * j - k))
+        by_rise += term
+    by_diagonal = term = 1  # C(k-2, 0)
+    for j in range(1, k // 2):
+        term = term * (k - 2 * j) * (k - 2 * j - 1) // ((k - j - 1) * j)
+        by_diagonal += term
     if by_rise != by_diagonal:
         raise NonIntegerResultError(f"binomial sums disagree at k={k}")
     return by_rise

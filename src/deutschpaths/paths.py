@@ -21,7 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, combinations_with_replacement, pairwise, product
+from itertools import combinations, combinations_with_replacement, groupby, pairwise, product
 from typing import Iterator
 
 __all__ = [
@@ -188,19 +188,9 @@ def path_from_json(text: str) -> DeutschPath:
 
 
 def validate(path: DeutschPath) -> DeutschPath:
-    """Check the ground rules and return the path unchanged.
-
-    Raises :class:`NegativeExcursionError` at the first step (1-based)
-    that drops below level 0 and :class:`NonzeroEndError` when the walk
-    ends off the ground.  The empty path is valid.
-    """
-    height = 0
-    for position, step in enumerate(path.steps, start=1):
-        height += _rise(step)
-        if height < 0:
-            raise NegativeExcursionError(position, height)
-    if height != 0:
-        raise NonzeroEndError(height)
+    """Check the ground rules, as :func:`valley_levels` does, and return
+    the path unchanged.  The empty path is valid."""
+    valley_levels(path)
     return path
 
 
@@ -215,19 +205,31 @@ def heights(path: DeutschPath) -> tuple[int, ...]:
 
 
 def valley_levels(path: DeutschPath) -> tuple[int, ...]:
-    """Levels of the valleys of a validated path, left to right.
+    """Levels of the valleys of a path, left to right, checking the ground
+    rules on the same walk.
 
     A valley is an interior lattice point entered by a down-step and
-    left by an up-step.  Endpoints never count.
+    left by an up-step.  Endpoints never count.  Raises
+    :class:`NegativeExcursionError` at the first step (1-based) that
+    drops below level 0 and :class:`NonzeroEndError` when the walk ends
+    off the ground.
     """
-    validate(path)
-    steps = path.steps
     levels = []
     height = 0
-    for i, step in enumerate(steps):
-        height += _rise(step)
-        if i + 1 < len(steps) and isinstance(step, Down) and isinstance(steps[i + 1], Up):
-            levels.append(height)
+    fell = False  # the step before was a down-step
+    for position, step in enumerate(path.steps, start=1):
+        if isinstance(step, Up):
+            if fell:
+                levels.append(height)
+            height += 1
+            fell = False
+        else:
+            height -= step.size
+            if height < 0:
+                raise NegativeExcursionError(position, height)
+            fell = True
+    if height != 0:
+        raise NonzeroEndError(height)
     return tuple(levels)
 
 
@@ -266,17 +268,13 @@ def as_mountain(path: DeutschPath) -> Mountain | None:
     """Return the mountain a validated path traces, or None.
 
     A path is a mountain when it consists of one up-run followed by one
-    down-run and nothing else.  The empty path is not a mountain.
+    down-run and nothing else, that is when it is nonempty and has no
+    valley.  The empty path is not a mountain.
     """
-    validate(path)
-    steps = path.steps
-    ups = 0
-    while ups < len(steps) and isinstance(steps[ups], Up):
-        ups += 1
-    rest = steps[ups:]
-    if ups == 0 or not rest or any(isinstance(s, Up) for s in rest):
+    if valley_levels(path) or not path.steps:
         return None
-    return Mountain(ups, tuple(s.size for s in rest))
+    ups = sum(isinstance(s, Up) for s in path.steps)
+    return Mountain(ups, tuple(s.size for s in path.steps[ups:]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -323,38 +321,23 @@ def decompose(path: DeutschPath) -> Decomposition:
     >>> decompose(parse_path("U U D2 U D1")).homerun
     (1,)
     """
-    if not is_nondecreasing(path):
-        raise NotNonDecreasingError(f"valley levels decrease in {render_path(path)!r}")
-    steps = path.steps
-    if not steps:
-        return Decomposition(0, (), ())
-    cut = len(steps)
-    while cut > 0 and isinstance(steps[cut - 1], Down):
-        cut -= 1
-    homerun = tuple(steps[i].size for i in range(cut, len(steps)))
+    validate(path)
+    # alternating up- and down-runs; the last down-run is the home run
+    runs = [tuple(run) for _, run in groupby(path.steps, type)]
+    homerun = tuple(s.size for s in runs[-1]) if runs else ()
     height = sum(homerun)
     bundles: list[list[Mountain]] = [[] for _ in range(height)]
-    level = 0
-    i = 0
-    while i < cut:
-        ups = 0
-        while i < cut and isinstance(steps[i], Up):
-            ups += 1
-            i += 1
-        descent = []
-        while i < cut and isinstance(steps[i], Down):
-            descent.append(steps[i].size)
-            i += 1
-        if not descent:
-            # trailing backbone ups, they end exactly at the height
-            assert level + ups == height
-            break
+    level = 0  # the valley before, or the ground
+    for ups, downs in zip(runs[:-2:2], runs[1:-2:2]):
+        descent = tuple(s.size for s in downs)
         fall = sum(descent)
-        base = level + ups - fall
-        assert level <= base < height
-        bundles[base].append(Mountain(fall, tuple(descent)))
+        base = level + len(ups) - fall
+        # valleys that never dip all lie below the height
+        if not level <= base < height:
+            raise NotNonDecreasingError(f"valley levels decrease in {render_path(path)!r}")
+        bundles[base].append(Mountain(fall, descent))
         level = base
-    return Decomposition(height, tuple(tuple(b) for b in bundles), homerun)
+    return Decomposition(height, tuple(map(tuple, bundles)), homerun)
 
 
 def compose(dec: Decomposition) -> DeutschPath:

@@ -11,14 +11,15 @@ import sys
 
 import pytest
 
-from deutschpaths import cli
+from deutschpaths import cli, fibonacci
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "deutschpaths", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -141,6 +142,13 @@ def test_mountains():
     result = run_cli("mountains", "--steps", "10")
     assert result.returncode == 0
     assert result.stdout == "34\n"
+
+
+def test_mountains_at_twenty_thousand_steps():
+    # a fresh binomial per term costs about a minute here; the timeout catches it
+    result = run_cli("mountains", "--steps", "20000", timeout=20)
+    assert result.returncode == 0
+    assert result.stdout == f"{fibonacci(19999)}\n"
 
 
 def test_tilings_count():

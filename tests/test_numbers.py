@@ -68,6 +68,21 @@ class TestQuadraticNumber:
         assert SILVER_RATIO ** 2 == QuadraticNumber(3, 2)
         assert SILVER_RATIO ** 0 == QuadraticNumber(1, 0)
 
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        products = 0
+        multiply = QuadraticNumber.__mul__
+
+        def counted(self, other):
+            nonlocal products
+            products += 1
+            return multiply(self, other)
+
+        monkeypatch.setattr(QuadraticNumber, "__mul__", counted)
+        power = SILVER_RATIO ** 100
+        # one product per set bit and one squaring per bit after the lowest
+        assert products == bin(100).count("1") + (100).bit_length() - 1 == 9
+        assert power == QuadraticNumber(half_companion_pell(100), pell(100))
+
     def test_division(self):
         one = QuadraticNumber(1, 0)
         assert one / SILVER_RATIO == -SILVER_CONJUGATE

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from collections import Counter
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from deutschpaths import (
     Decomposition,
@@ -164,6 +165,44 @@ class TestValidation:
         assert heights(parse_path("U D1 U U D2")) == (1, 0, 1, 2, 0)
 
 
+def _two_walk_valley_levels(path: DeutschPath):
+    # reference oracle: the ground rules on one walk, the valleys on another
+    rises = [1 if step == UP else -step.size for step in path.steps]
+    height = 0
+    for position, rise in enumerate(rises, start=1):
+        height += rise
+        if height < 0:
+            return ("below ground", position, height)
+    if height:
+        return ("off the ground", height)
+    levels, height = [], 0
+    for i in range(1, len(rises)):
+        height += rises[i - 1]
+        if rises[i - 1] < 0 < rises[i]:
+            levels.append(height)
+    return ("valleys", tuple(levels))
+
+
+def _grounded(steps):
+    # a Deutsch path from any steps: falls clipped to the height, falls
+    # from the ground dropped, and one last fall home
+    out, height = [], 0
+    for step in steps:
+        if step == UP:
+            out.append(UP)
+            height += 1
+        elif height:
+            fall = min(step.size, height)
+            out.append(Down(fall))
+            height -= fall
+    if height:
+        out.append(Down(height))
+    return out
+
+
+STEP_LISTS = st.lists(st.one_of(st.just(UP), st.integers(1, 3).map(Down)), max_size=14)
+
+
 class TestValleys:
     @pytest.mark.parametrize(
         "text,levels",
@@ -187,6 +226,18 @@ class TestValleys:
         # the point between two down-steps is entered by a fall and left by one
         assert valley_levels(parse_path("U U D1 D1")) == ()
 
+    @given(st.one_of(STEP_LISTS, STEP_LISTS.map(_grounded)))
+    @example([])
+    def test_one_walk_matches_two(self, steps):
+        path = DeutschPath(tuple(steps))
+        try:
+            got = ("valleys", valley_levels(path))
+        except NegativeExcursionError as exc:
+            got = ("below ground", exc.position, exc.height)
+        except NonzeroEndError as exc:
+            got = ("off the ground", exc.final_height)
+        assert got == _two_walk_valley_levels(path)
+
 
 class TestMountains:
     def test_examples(self):
@@ -194,6 +245,15 @@ class TestMountains:
         assert as_mountain(parse_path("U U U D2 D1")) == Mountain(3, (2, 1))
         assert as_mountain(parse_path("U D1 U D1")) is None
         assert as_mountain(parse_path("")) is None
+
+    def test_mountains_are_one_rise_then_one_fall(self):
+        for n in range(12):
+            for p in enumerate_deutsch(n):
+                shape = "".join("U" if s == UP else "D" for s in p.steps)
+                mountain = as_mountain(p)
+                assert (mountain is not None) == bool(re.fullmatch("U+D+", shape))
+                if mountain is not None:
+                    assert mountain.ups == shape.count("U")
 
     def test_mountain_invariants(self):
         with pytest.raises(ValueError):
@@ -321,6 +381,16 @@ class TestDecomposition:
     def test_decompose_rejects_falling_valleys(self):
         with pytest.raises(NotNonDecreasingError):
             decompose(parse_path("U U D1 U D2 U D1"))
+
+    def test_decompose_rejects_exactly_the_falling_valleys(self):
+        for n in range(12):
+            for p in enumerate_deutsch(n):
+                if is_nondecreasing(p):
+                    assert compose(decompose(p)) == p
+                else:
+                    message = f"valley levels decrease in {render_path(p)!r}"
+                    with pytest.raises(NotNonDecreasingError, match=re.escape(message)):
+                        decompose(p)
 
     def test_decomposition_invariants(self):
         with pytest.raises(ValueError):
