@@ -4,8 +4,10 @@ Each case breaks one function that ``verify`` calls, through the module
 attribute ``verify`` uses, so that it answers wrongly on one small
 input.  The full result list of ``verify --max 6`` is then pinned: the
 targeted check must fail with the same name and detail as before, so no
-enumeration check can go vacuous unnoticed.  A further test counts the
-calls of the four enumeration routes: one walk each per length.
+check can go vacuous unnoticed.  A case keyed ``check.variant`` reaches
+another FAIL name of the same check.  Further tests count the calls of
+the four enumeration routes, one walk each per length, and pin that a
+check stops at its first failure.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
+from fractions import Fraction
 
 import pytest
 
@@ -59,19 +62,43 @@ def wrong_on(target, change):
     return patch
 
 
-def coefficient_off(form, index):
-    """Patch ``gf_coefficients`` to add 1 to one coefficient of one form."""
+def coefficient_off(form, index, by=1):
+    """Patch ``gf_coefficients`` to add ``by`` to one coefficient of one form."""
 
     def patch(original):
         def fake(name, order):
             coeffs = list(original(name, order))
             if name == form and index <= order:
-                coeffs[index] += 1
+                coeffs[index] += by
             return coeffs
 
         return fake
 
     return patch
+
+
+def false_on_call(count):
+    """Patch a predicate to answer False on its ``count``-th call; ``fake.calls`` counts."""
+
+    def patch(original):
+        def fake(*args):
+            fake.calls += 1
+            return fake.calls != count and original(*args)
+
+        fake.calls = 0
+        return fake
+
+    return patch
+
+
+def last_quotient_coefficient_off(original):
+    """Patch ``TruncatedSeries.__truediv__`` to add 1 to the top coefficient."""
+
+    def fake(self, other):
+        quotient = original(self, other)
+        return series.TruncatedSeries([*quotient.coefficients[:-1], quotient[-1] + 1])
+
+    return fake
 
 
 def swap_two(stream):
@@ -86,6 +113,9 @@ def drop_third(stream):
 
 def homerun_as_list(stream):
     return (dataclasses.replace(d, homerun=list(d.homerun)) for d in stream)
+
+
+SQUARE, DOMINO = numbers.Piece.SQUARE, numbers.Piece.DOMINO
 
 
 # check -> (module, attribute, patch, {check: (FAIL name, detail)}).  The
@@ -269,6 +299,130 @@ FAULTS = {
             ),
         },
     ),
+    "tree-weight.path-length": (
+        trees,
+        "tree_statistics",
+        wrong_on(
+            trees.path_to_tree(paths.parse_path("U U D2 U D1")),
+            lambda s: dataclasses.replace(s, weight=s.weight + 1),
+        ),
+        {
+            "tree-weight": ("trees: weight equals path length", "failed on 'U U D2 U D1'"),
+        },
+    ),
+    "tree-weight.up-steps": (
+        paths,
+        "path_stats",
+        wrong_on(
+            paths.parse_path("U U D2 U D1"),
+            lambda r: dataclasses.replace(r, up_count=r.up_count + 1),
+        ),
+        {
+            "tree-weight": ("trees: edges count the up-steps", "failed on 'U U D2 U D1'"),
+        },
+    ),
+    "five-forms": (
+        series,
+        "named_form",
+        wrong_on("cf-closure", lambda form: form * 2),
+        {
+            "five-forms": (
+                "series: all five closed forms expand identically (order 64)",
+                "disagreeing forms: ['cf-closure']",
+            ),
+        },
+    ),
+    "bundle-geometric": (
+        series,
+        "gf_coefficients",
+        coefficient_off("bundle", 5),
+        {
+            "bundle-geometric": (
+                "series: bundle form equals the geometric closure of the mountain form (order 64)",
+                "",
+            ),
+        },
+    ),
+    "partial-fractions": (
+        series,
+        "gf_coefficients",
+        coefficient_off("partial-fractions", 7, Fraction(1, 2)),
+        {
+            "partial-fractions": (
+                "series: partial fraction pieces combine to integers (order 64)",
+                "",
+            ),
+        },
+    ),
+    "division": (
+        series.TruncatedSeries,
+        "__truediv__",
+        last_quotient_coefficient_off,
+        {
+            "bundle-geometric": (
+                "series: bundle form equals the geometric closure of the mountain form (order 64)",
+                "",
+            ),
+            "division": ("series: division recomposes exactly under multiplication", "trial 0"),
+            "star": ("series: star identity (a+b)* = b*(ab*)*", "trial 0"),
+        },
+    ),
+    "star": (
+        series,
+        "star_identity_holds",
+        false_on_call(4),
+        {
+            "star": ("series: star identity (a+b)* = b*(ab*)*", "trial 3"),
+        },
+    ),
+    "pell-binet": (
+        numbers,
+        "binet_pell",
+        wrong_on(10, lambda p: p + 1),
+        {
+            "pell-binet": ("numbers: Pell recurrence matches Binet", "n=10"),
+        },
+    ),
+    "pell-binet.half-companion": (
+        numbers,
+        "binet_half_companion",
+        wrong_on(10, lambda h: h + 1),
+        {
+            "pell-binet": ("numbers: half companion recurrence matches Binet", "n=10"),
+        },
+    ),
+    "tilings": (
+        numbers,
+        "count_tilings",
+        wrong_on(7, lambda c: c + 1),
+        {
+            "tilings": ("numbers: tiling count equals F(n+1)", "n=7"),
+        },
+    ),
+    "tilings.enumeration": (
+        numbers,
+        "enumerate_tilings",
+        wrong_on(5, drop_third),
+        {
+            "tilings": ("numbers: tiling enumeration matches the count", "n=5"),
+        },
+    ),
+    "tilings.square-first": (
+        numbers,
+        "count_square_first_tilings",
+        wrong_on(6, lambda c: c + 1),
+        {
+            "tilings": ("numbers: square-first counts match their series", "n=6"),
+        },
+    ),
+    "tilings.domino-deletion": (
+        numbers,
+        "delete_leading_domino",
+        wrong_on((DOMINO, SQUARE, SQUARE), lambda t: (DOMINO,)),
+        {
+            "tilings": ("numbers: deleting the leading domino is a bijection", "n=3"),
+        },
+    ),
 }
 
 
@@ -281,7 +435,7 @@ def cli_line(name: str, passed: bool, detail: str) -> str:
 @pytest.mark.parametrize("check", FAULTS)
 def test_fault_fails_its_check(monkeypatch, check):
     module, attribute, patch, failures = FAULTS[check]
-    assert check in failures
+    assert check.partition(".")[0] in failures
     monkeypatch.setattr(module, attribute, patch(getattr(module, attribute)))
     # run the suite once, through the CLI, and keep what run_checks returned
     results = []
@@ -308,6 +462,14 @@ def test_fault_fails_its_check(monkeypatch, check):
         *(cli_line(*row) for row in expected),
         f"{len(PASSING) - len(failures)}/{len(PASSING)} checks passed",
     ]
+
+
+def test_a_check_stops_at_its_first_failure(monkeypatch):
+    fake = false_on_call(4)(series.star_identity_holds)
+    monkeypatch.setattr(series, "star_identity_holds", fake)
+    failed = [r for r in verify.run_checks(0) if not r.passed]
+    assert [(r.name, r.detail) for r in failed] == [FAULTS["star"][3]["star"]]
+    assert fake.calls == 4
 
 
 def test_each_route_is_walked_once_per_length(monkeypatch):
