@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import numbers, paths, series, trees, verify
 
 __all__ = ["main"]
 
 
-def _print_count(value: int) -> int:
+def _print_count(value: int | Fraction) -> int:
     print(value)
     return 0
 
@@ -28,8 +29,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.method == "closed":
         return _print_count(numbers.count_nondecreasing_closed(n))
     if args.method == "series":
-        coeff = series.gf_coefficients("with-empty", n)[n]
-        return _print_count(coeff.numerator)
+        return _print_count(series.gf_coefficients("with-empty", n)[n])
     if args.method == "brute":
         return _print_count(sum(1 for _ in paths.enumerate_nondecreasing_filter(n)))
     return _print_count(sum(1 for _ in paths.enumerate_nondecreasing_direct(n)))
@@ -40,7 +40,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if top < 0:
         raise ValueError("--max must be >= 0")
     closed = [numbers.count_nondecreasing_closed(n) for n in range(top + 1)]
-    by_series = [c.numerator for c in series.gf_coefficients("with-empty", top)]
+    by_series = series.gf_coefficients("with-empty", top)
     rows = []
     for n in range(top + 1):
         brute = (
@@ -52,7 +52,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
         rows.append((n, closed[n], by_series[n], brute, agree))
     if args.json:
         for n, c, s, b, agree in rows:
-            record = {"n": n, "closed": c, "series": s, "brute": b, "agree": agree}
+            # an integral coefficient as a JSON number, any other as its str
+            series_value = s.numerator if s.denominator == 1 else str(s)
+            record = {"n": n, "closed": c, "series": series_value, "brute": b, "agree": agree}
             print(json.dumps(record, separators=(",", ":")))
     else:
         print("n\tclosed\tseries\tbrute\tagree")

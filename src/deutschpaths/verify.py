@@ -6,6 +6,11 @@ recurrences, bijections against round trips.  The CLI ``verify``
 subcommand runs the whole list and reports one line per check, so a
 regression anywhere in the package shows up as a named failure here.
 
+A check is its PASS name and the failures it finds, each a FAIL name
+(``None`` for the check's own name) and a detail; the first failure
+names the result.  The fixed checks are generators, so a check stops
+at its first failure, and ``run_checks`` reads every check in one loop.
+
 ``max_length`` bounds the brute-force enumerations.  Each enumeration
 route is walked once per length, and that one census feeds every check
 built on enumeration.  Everything not tied to enumeration uses the fixed
@@ -16,6 +21,8 @@ tiling length 20).
 from __future__ import annotations
 
 import random
+from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,39 +44,39 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(passed), "" if passed else detail)
+# (FAIL name, or None for the check's own name; detail)
+_Failure = tuple[str | None, str]
+_Failures = Iterable[_Failure]
 
 
-def _counts_by_series(order: int) -> list[int]:
-    coeffs = series.gf_coefficients("with-empty", order)
-    assert all(c.denominator == 1 for c in coeffs)
-    return [c.numerator for c in coeffs]
+def _report(name: str, failures: _Failures) -> CheckResult:
+    """The first of ``failures`` as a FAIL, or else the PASS of ``name``."""
+    for fail_name, detail in failures:
+        return CheckResult(fail_name or name, False, detail)
+    return CheckResult(name, True)
+
+
+def _listed(values: Sequence[Fraction]) -> str:
+    # str, not repr: integers print as in a list of int, 1/2 as 1/2
+    return f"[{', '.join(map(str, values))}]"
 
 
 @dataclass
 class _Census:
     """What one walk of each enumeration route per length leaves behind.
 
-    ``failures`` keeps each check's first failure, as its FAIL name and
-    detail, in (length, canonical path) order.
+    ``failures`` keeps each check's first failure, as a one-item list of
+    its FAIL name and detail, in (length, canonical path) order; a check
+    with none reads an empty list.
     """
 
-    bad_paths: int = 0
     mountains: list[int] = field(default_factory=list)
     brute: list[int] = field(default_factory=list)
     unit_down: list[int] = field(default_factory=list)
-    failures: dict[str, tuple[str, str]] = field(default_factory=dict)
+    failures: dict[str, list[_Failure]] = field(default_factory=lambda: defaultdict(list))
 
-    def fail(self, check: str, name: str, detail: str) -> None:
-        self.failures.setdefault(check, (name, detail))
-
-    def result(self, check: str, name: str) -> CheckResult:
-        """The first failure of ``check``, or its pass under ``name``."""
-        if check not in self.failures:
-            return _check(name, True)
-        fail_name, detail = self.failures[check]
-        return _check(fail_name, False, detail)
+    def fail(self, check: str, name: str | None, detail: str) -> None:
+        self.failures.setdefault(check, [(name, detail)])
 
 
 def _failed_on(path: paths.DeutschPath) -> str:
@@ -78,12 +85,13 @@ def _failed_on(path: paths.DeutschPath) -> str:
 
 def _take_census(max_length: int) -> _Census:
     census = _Census()
+    bad_paths = 0
     for n in range(max_length + 1):
         mountains = 0
         for p in paths.enumerate_deutsch(n):
             hs = paths.heights(p)
             if any(h < 0 for h in hs) or (hs and hs[-1] != 0):
-                census.bad_paths += 1
+                bad_paths += 1
             mountains += paths.as_mountain(p) is not None
         census.mountains.append(mountains)
         if mountains != numbers.count_mountains(n) or mountains != (
@@ -147,197 +155,130 @@ def _take_census(max_length: int) -> _Census:
                 "trees: trees of weight n are equinumerous with the paths",
                 f"n={n}: {len(encoded)}",
             )
+    if bad_paths:
+        census.fail("conservation", None, f"{bad_paths} bad paths")
     return census
 
 
-def _check_unit_down_restriction(max_length: int, brute: list[int]) -> CheckResult:
+def _unit_down_failures(max_length: int, brute: list[int]) -> _Failures:
     top = max_length // 2
     expected = [numbers.fibonacci(2 * n - 1) for n in range(top + 1)]
-    coeffs = series.gf_coefficients("dyck-nondecreasing", top)
-    by_series = [c.numerator for c in coeffs]
-    ok = brute == expected == by_series
-    return _check(
-        f"paths: unit-down restriction counts F(2n-1) and matches its series (2n <= {max_length})",
-        ok,
-        f"brute {brute}, fibonacci {expected}, series {by_series}",
-    )
+    by_series = list(series.gf_coefficients("dyck-nondecreasing", top))
+    if not brute == expected == by_series:
+        yield None, f"brute {brute}, fibonacci {expected}, series {_listed(by_series)}"
 
 
-def _check_five_forms(order: int) -> CheckResult:
-    names = (
-        "with-empty",
-        "partial-fractions",
-        "continued-fraction",
-        "cf-closure",
-        "tree-form",
-    )
-    # equal through ``order``, and as rational functions (P1 Q2 == P2 Q1)
+def _five_forms_failures() -> _Failures:
+    names = ("with-empty", "partial-fractions", "continued-fraction", "cf-closure", "tree-form")
+    # equal through SERIES_ORDER, and as rational functions (P1 Q2 == P2 Q1)
     forms = {name: series.named_form(name) for name in names}
     reference = forms["with-empty"]
-    expansion = reference.coefficients(order)
+    expansion = reference.coefficients(SERIES_ORDER)
     bad = [
         name
         for name, form in forms.items()
-        if form.coefficients(order) != expansion or form != reference
+        if form.coefficients(SERIES_ORDER) != expansion or form != reference
     ]
-    return _check(
-        f"series: all five closed forms expand identically (order {order})",
-        not bad,
-        f"disagreeing forms: {bad}",
-    )
+    if bad:
+        yield None, f"disagreeing forms: {bad}"
 
 
-def _check_series_vs_brute(max_length: int, brute: list[int]) -> CheckResult:
-    by_series = _counts_by_series(max_length)
-    return _check(
-        f"series: with-empty coefficients equal the brute census (n <= {max_length})",
-        by_series == brute,
-        f"series {by_series}, brute {brute}",
-    )
+def _series_vs_brute_failures(max_length: int, brute: list[int]) -> _Failures:
+    by_series = list(series.gf_coefficients("with-empty", max_length))
+    if by_series != brute:
+        yield None, f"series {_listed(by_series)}, brute {brute}"
 
 
-def _check_mountain_series(max_length: int, mountains: list[int]) -> CheckResult:
+def _mountain_series_failures(max_length: int, mountains: list[int]) -> _Failures:
     coeffs = series.gf_coefficients("mountain", SERIES_ORDER)
     fib_ok = all(
         coeffs[k] == (numbers.fibonacci(k - 1) if k >= 2 else 0)
         for k in range(SERIES_ORDER + 1)
     )
     census_ok = all(coeffs[k] == mountains[k] for k in range(min(max_length, 12) + 1))
-    return _check(
-        "series: mountain coefficients equal F(k-1) and the brute census",
-        fib_ok and census_ok,
-    )
+    if not (fib_ok and census_ok):
+        yield None, ""
 
 
-def _check_bundle_geometric(order: int) -> CheckResult:
-    mountain = series.TruncatedSeries(series.gf_coefficients("mountain", order))
-    bundle = series.TruncatedSeries(series.gf_coefficients("bundle", order))
-    ok = bundle == 1 / (1 - mountain)
-    return _check(
-        f"series: bundle form equals the geometric closure of the mountain form (order {order})",
-        ok,
-    )
+def _bundle_geometric_failures() -> _Failures:
+    mountain = series.TruncatedSeries(series.gf_coefficients("mountain", SERIES_ORDER))
+    bundle = series.TruncatedSeries(series.gf_coefficients("bundle", SERIES_ORDER))
+    if bundle != 1 / (1 - mountain):
+        yield None, ""
 
 
-def _check_partial_fraction_integrality(order: int) -> CheckResult:
-    coeffs = series.gf_coefficients("partial-fractions", order)
-    ok = all(c.denominator == 1 for c in coeffs)
-    return _check(
-        f"series: partial fraction pieces combine to integers (order {order})", ok
-    )
+def _partial_fraction_failures() -> _Failures:
+    coeffs = series.gf_coefficients("partial-fractions", SERIES_ORDER)
+    if any(c.denominator != 1 for c in coeffs):
+        yield None, ""
 
 
-def _check_division_exactness() -> CheckResult:
+def _random_fractions(rng: random.Random, count: int, bound: int) -> list[Fraction]:
+    return [Fraction(rng.randint(-bound, bound), rng.randint(1, 3)) for _ in range(count)]
+
+
+def _division_failures() -> _Failures:
     rng = random.Random(20240831)
+    order = 16
     for trial in range(40):
-        order = 16
-        a = series.TruncatedSeries(
-            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(order + 1)]
-        )
-        b_coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(order + 1)]
-        if not b_coeffs[0]:
-            b_coeffs[0] = Fraction(1)
+        a = series.TruncatedSeries(_random_fractions(rng, order + 1, 4))
+        b_coeffs = _random_fractions(rng, order + 1, 4)
+        b_coeffs[0] = b_coeffs[0] or Fraction(1)
         b = series.TruncatedSeries(b_coeffs)
         if (a / b) * b != a:
-            return _check(
-                "series: division recomposes exactly under multiplication",
-                False,
-                f"trial {trial}",
-            )
-    return _check("series: division recomposes exactly under multiplication", True)
+            yield None, f"trial {trial}"
 
 
-def _check_star_identity() -> CheckResult:
+def _star_identity_failures() -> _Failures:
     rng = random.Random(20240832)
     for trial in range(STAR_CASES):
-        coeffs_a = [Fraction(0)] + [
-            Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(STAR_ORDER)
-        ]
-        coeffs_b = [Fraction(0)] + [
-            Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(STAR_ORDER)
-        ]
-        a = series.TruncatedSeries(coeffs_a)
-        b = series.TruncatedSeries(coeffs_b)
+        a = series.TruncatedSeries([0, *_random_fractions(rng, STAR_ORDER, 3)])
+        b = series.TruncatedSeries([0, *_random_fractions(rng, STAR_ORDER, 3)])
         if not series.star_identity_holds(a, b, STAR_ORDER):
-            return _check(
-                "series: star identity (a+b)* = b*(ab*)*",
-                False,
-                f"trial {trial}",
-            )
-    return _check(
-        f"series: star identity (a+b)* = b*(ab*)* on {STAR_CASES} random pairs (order {STAR_ORDER})",
-        True,
-    )
+            yield "series: star identity (a+b)* = b*(ab*)*", f"trial {trial}"
 
 
-def _check_pell_binet() -> CheckResult:
+def _pell_binet_failures() -> _Failures:
     for n in range(SEQUENCE_LIMIT + 1):
         if numbers.pell(n) != numbers.binet_pell(n):
-            return _check("numbers: Pell recurrence matches Binet", False, f"n={n}")
+            yield "numbers: Pell recurrence matches Binet", f"n={n}"
         if numbers.half_companion_pell(n) != numbers.binet_half_companion(n):
-            return _check(
-                "numbers: half companion recurrence matches Binet", False, f"n={n}"
-            )
+            yield "numbers: half companion recurrence matches Binet", f"n={n}"
     product = numbers.SILVER_RATIO * numbers.SILVER_CONJUGATE
     total = numbers.SILVER_RATIO + numbers.SILVER_CONJUGATE
-    algebra_ok = product == numbers.QuadraticNumber(-1) and total == numbers.QuadraticNumber(2)
-    return _check(
-        f"numbers: Pell sequences match their Binet forms (n <= {SEQUENCE_LIMIT}), "
-        "silver ratio algebra holds",
-        algebra_ok,
-    )
+    if product != numbers.QuadraticNumber(-1) or total != numbers.QuadraticNumber(2):
+        yield None, ""
 
 
-def _check_closed_count_routes(max_length: int, brute: list[int]) -> CheckResult:
-    by_series = _counts_by_series(SEQUENCE_LIMIT)
+def _closed_count_failures(max_length: int, brute: list[int]) -> _Failures:
+    by_series = series.gf_coefficients("with-empty", SEQUENCE_LIMIT)
     for n in range(SEQUENCE_LIMIT + 1):
         closed = numbers.count_nondecreasing_closed(n)
         if closed != numbers.count_nondecreasing_quadratic(n) or closed != by_series[n]:
-            return _check(
-                "numbers: closed count equals ring evaluation and series",
-                False,
-                f"n={n}",
-            )
-    if brute != by_series[: max_length + 1]:
-        return _check(
-            "numbers: closed count equals the brute census", False, f"brute {brute}"
-        )
-    return _check(
-        f"numbers: closed count, ring evaluation, series (n <= {SEQUENCE_LIMIT}) "
-        f"and brute census (n <= {max_length}) all agree",
-        True,
-    )
+            yield "numbers: closed count equals ring evaluation and series", f"n={n}"
+    if brute != list(by_series[: max_length + 1]):
+        yield "numbers: closed count equals the brute census", f"brute {brute}"
 
 
-def _check_mountain_binomials() -> CheckResult:
+def _mountain_binomial_failures() -> _Failures:
     for k in range(SEQUENCE_LIMIT + 1):
-        expected = numbers.fibonacci(k - 1) if k >= 2 else 0
-        if numbers.count_mountains(k) != expected:
-            return _check(
-                "numbers: mountain binomial sums equal F(k-1)", False, f"k={k}"
-            )
-    return _check(
-        f"numbers: mountain binomial sums equal F(k-1) (k <= {SEQUENCE_LIMIT})", True
-    )
+        if numbers.count_mountains(k) != (numbers.fibonacci(k - 1) if k >= 2 else 0):
+            yield "numbers: mountain binomial sums equal F(k-1)", f"k={k}"
 
 
-def _check_tilings() -> CheckResult:
+def _tiling_failures() -> _Failures:
     square_first_series = series.gf_coefficients("square-first-tilings", TILING_LIMIT)
     for n in range(TILING_LIMIT + 1):
         count = numbers.count_tilings(n)
         if count != numbers.fibonacci(n + 1):
-            return _check("numbers: tiling count equals F(n+1)", False, f"n={n}")
+            yield "numbers: tiling count equals F(n+1)", f"n={n}"
         if n <= 12:
             listed = list(numbers.enumerate_tilings(n))
             if len(listed) != count or len(set(listed)) != count:
-                return _check(
-                    "numbers: tiling enumeration matches the count", False, f"n={n}"
-                )
+                yield "numbers: tiling enumeration matches the count", f"n={n}"
         square_first = numbers.count_square_first_tilings(n)
         if n >= 1 and square_first != square_first_series[n]:
-            return _check(
-                "numbers: square-first counts match their series", False, f"n={n}"
-            )
+            yield "numbers: square-first counts match their series", f"n={n}"
         # domino-first tilings of length n+1 biject with tilings of length n-1
         if 1 <= n <= 12:
             domino_first = [
@@ -347,14 +288,7 @@ def _check_tilings() -> CheckResult:
             if len(images) != len(domino_first) or images != set(
                 numbers.enumerate_tilings(n - 1)
             ):
-                return _check(
-                    "numbers: deleting the leading domino is a bijection", False, f"n={n}"
-                )
-    return _check(
-        f"numbers: tilings count F(n+1), square-first matches its series, "
-        f"domino deletion bijects (n <= {TILING_LIMIT})",
-        True,
-    )
+                yield "numbers: deleting the leading domino is a bijection", f"n={n}"
 
 
 def run_checks(max_length: int = 12) -> list[CheckResult]:
@@ -362,43 +296,86 @@ def run_checks(max_length: int = 12) -> list[CheckResult]:
     if max_length < 0:
         raise ValueError("max length must be >= 0")
     census = _take_census(max_length)
+    failed = census.failures
     within = f"(n <= {max_length})"
-    return [
-        _check(
+    checks = [
+        (
             f"paths: every enumerated path stays on or above ground and ends there {within}",
-            census.bad_paths == 0,
-            f"{census.bad_paths} bad paths",
+            failed["conservation"],
         ),
-        census.result(
-            "direct", f"paths: filtered and structural enumerations agree, in order {within}"
+        (
+            f"paths: filtered and structural enumerations agree, in order {within}",
+            failed["direct"],
         ),
-        census.result("compose", f"paths: compose inverts decompose {within}"),
-        census.result("decompositions", f"paths: decompose inverts compose {within}"),
-        _check_unit_down_restriction(max_length, census.unit_down),
-        census.result(
-            "mountains",
+        (f"paths: compose inverts decompose {within}", failed["compose"]),
+        (f"paths: decompose inverts compose {within}", failed["decompositions"]),
+        (
+            "paths: unit-down restriction counts F(2n-1) and matches its series "
+            f"(2n <= {max_length})",
+            _unit_down_failures(max_length, census.unit_down),
+        ),
+        (
             f"paths: mountain census matches the binomial count and F(k-1) (k <= {max_length})",
+            failed["mountains"],
         ),
-        census.result(
-            "trees", f"trees: encoding and decoding are mutually inverse and injective {within}"
+        (
+            f"trees: encoding and decoding are mutually inverse and injective {within}",
+            failed["trees"],
         ),
-        census.result(
-            "weight",
+        (
             f"trees: weight splits into edges = up-steps plus doubles = down-steps {within}",
+            failed["weight"],
         ),
-        census.result("dyck", f"trees: unit-down paths mark every edge double {within}"),
-        census.result(
-            "tree-count", f"trees: trees of weight n are equinumerous with the paths {within}"
+        (f"trees: unit-down paths mark every edge double {within}", failed["dyck"]),
+        (
+            f"trees: trees of weight n are equinumerous with the paths {within}",
+            failed["tree-count"],
         ),
-        _check_five_forms(SERIES_ORDER),
-        _check_series_vs_brute(max_length, census.brute),
-        _check_mountain_series(max_length, census.mountains),
-        _check_bundle_geometric(SERIES_ORDER),
-        _check_partial_fraction_integrality(SERIES_ORDER),
-        _check_division_exactness(),
-        _check_star_identity(),
-        _check_pell_binet(),
-        _check_closed_count_routes(max_length, census.brute),
-        _check_mountain_binomials(),
-        _check_tilings(),
+        (
+            f"series: all five closed forms expand identically (order {SERIES_ORDER})",
+            _five_forms_failures(),
+        ),
+        (
+            f"series: with-empty coefficients equal the brute census {within}",
+            _series_vs_brute_failures(max_length, census.brute),
+        ),
+        (
+            "series: mountain coefficients equal F(k-1) and the brute census",
+            _mountain_series_failures(max_length, census.mountains),
+        ),
+        (
+            "series: bundle form equals the geometric closure of the mountain form "
+            f"(order {SERIES_ORDER})",
+            _bundle_geometric_failures(),
+        ),
+        (
+            f"series: partial fraction pieces combine to integers (order {SERIES_ORDER})",
+            _partial_fraction_failures(),
+        ),
+        ("series: division recomposes exactly under multiplication", _division_failures()),
+        (
+            f"series: star identity (a+b)* = b*(ab*)* on {STAR_CASES} random pairs "
+            f"(order {STAR_ORDER})",
+            _star_identity_failures(),
+        ),
+        (
+            f"numbers: Pell sequences match their Binet forms (n <= {SEQUENCE_LIMIT}), "
+            "silver ratio algebra holds",
+            _pell_binet_failures(),
+        ),
+        (
+            f"numbers: closed count, ring evaluation, series (n <= {SEQUENCE_LIMIT}) "
+            f"and brute census (n <= {max_length}) all agree",
+            _closed_count_failures(max_length, census.brute),
+        ),
+        (
+            f"numbers: mountain binomial sums equal F(k-1) (k <= {SEQUENCE_LIMIT})",
+            _mountain_binomial_failures(),
+        ),
+        (
+            "numbers: tilings count F(n+1), square-first matches its series, "
+            f"domino deletion bijects (n <= {TILING_LIMIT})",
+            _tiling_failures(),
+        ),
     ]
+    return [_report(name, failures) for name, failures in checks]

@@ -36,6 +36,7 @@ CASES = {
     "list-10.txt": ["list", "--length", "10"],
     "list-10.jsonl": ["list", "--length", "10", "--json"],
     "verify-8.txt": ["verify", "--max", "8"],
+    "verify-0.txt": ["verify", "--max", "0"],
     # the README's command-line examples; its `verify --max 12` has the
     # shape of verify-8.txt
     "count-9.txt": ["count", "--length", "9"],

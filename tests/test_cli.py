@@ -8,10 +8,11 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from deutschpaths import cli, fibonacci
+from deutschpaths import cli, fibonacci, series
 
 
 def run_cli(*args, timeout=None):
@@ -73,6 +74,30 @@ def test_table_json():
         {"n": 2, "closed": 1, "series": 1, "brute": 1, "agree": True},
         {"n": 3, "closed": 1, "series": 1, "brute": 1, "agree": True},
     ]
+
+
+@pytest.fixture
+def half_at_three(monkeypatch):
+    """``gf_coefficients`` with 1/2 in place of the with-empty count at n = 3."""
+    original = series.gf_coefficients
+
+    def fake(form, order):
+        coeffs = list(original(form, order))
+        if form == "with-empty" and order >= 3:
+            coeffs[3] = Fraction(1, 2)
+        return coeffs
+
+    monkeypatch.setattr(series, "gf_coefficients", fake)
+
+
+def test_a_non_integral_series_count_shows(half_at_three, capsys):
+    assert cli.main(["table", "--max", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[4] == "3\t1\t1/2\t1\tNO"
+    assert cli.main(["table", "--max", "4", "--json"]) == 0
+    row = json.loads(capsys.readouterr().out.splitlines()[3])
+    assert row == {"n": 3, "closed": 1, "series": "1/2", "brute": 1, "agree": False}
+    assert cli.main(["count", "--length", "3", "--method", "series"]) == 0
+    assert capsys.readouterr().out == "1/2\n"
 
 
 def test_list():

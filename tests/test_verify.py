@@ -299,6 +299,32 @@ FAULTS = {
             ),
         },
     ),
+    "unit-down.non-integral": (
+        series,
+        "gf_coefficients",
+        coefficient_off("dyck-nondecreasing", 2, Fraction(1, 2)),
+        {
+            "unit-down": (
+                "paths: unit-down restriction counts F(2n-1) and matches its series (2n <= 6)",
+                "brute [1, 1, 2, 5], fibonacci [1, 1, 2, 5], series [1, 1, 5/2, 5]",
+            ),
+        },
+    ),
+    "series-vs-brute.non-integral": (
+        series,
+        "gf_coefficients",
+        coefficient_off("with-empty", 3, Fraction(1, 2)),
+        {
+            "series-vs-brute": (
+                "series: with-empty coefficients equal the brute census (n <= 6)",
+                "series [1, 0, 1, 3/2, 3, 6, 15], brute [1, 0, 1, 1, 3, 6, 15]",
+            ),
+            "closed-count-routes": (
+                "numbers: closed count equals ring evaluation and series",
+                "n=3",
+            ),
+        },
+    ),
     "tree-weight.path-length": (
         trees,
         "tree_statistics",
