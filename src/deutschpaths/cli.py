@@ -29,7 +29,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.method == "closed":
         return _print_count(numbers.count_nondecreasing_closed(n))
     if args.method == "series":
-        return _print_count(series.gf_coefficients("with-empty", n)[n])
+        return _print_count(series.named_form("with-empty").coefficient(n))
     if args.method == "brute":
         return _print_count(sum(1 for _ in paths.enumerate_nondecreasing_filter(n)))
     return _print_count(sum(1 for _ in paths.enumerate_nondecreasing_direct(n)))

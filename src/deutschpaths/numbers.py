@@ -1,10 +1,14 @@
 """Integer sequences and exact closed forms behind the path counts.
 
 All arithmetic is exact: integers are unbounded and the ring of numbers
-a + b*sqrt(2) is represented with rational coordinates, so the Binet
-style formulas evaluate without any rounding.  The silver ratio
-1 + sqrt(2) and its conjugate drive both Pell sequences and the closed
-form for the number of weakly-increasing-valley paths.
+a + b*sqrt(2) has rational coordinates, so the Binet style formulas
+evaluate without any rounding.  Inside, a coordinate stays a plain
+``int`` while it is integral and becomes a :class:`fractions.Fraction`
+only when it is not, so powers of the silver ratio never build a
+``Fraction``.  The silver ratio 1 + sqrt(2) and its conjugate drive
+both Pell sequences and the closed form for the number of
+weakly-increasing-valley paths, which the closed count reaches by
+doubling the Pell pair in O(log n) integer products.
 
 Fibonacci numbers follow the convention F(1) = F(2) = 1, extended
 backwards so that F(0) = 0 and F(-1) = 1.
@@ -85,6 +89,22 @@ def half_companion_pell(n: int) -> int:
     return prev
 
 
+def _silver_pair(n: int) -> tuple[int, int]:
+    """(H, P) with (1 + sqrt(2))**n = H + P*sqrt(2), for n >= 0.
+
+    H and P are half_companion_pell(n) and pell(n).  The pair is
+    squared once per bit of n, most significant first, and stepped by
+    one power where the bit is set: O(log n) integer products in place
+    of the n steps of the defining recurrence.
+    """
+    h, p = 1, 0
+    for bit in bin(n)[2:]:
+        h, p = h * h + 2 * p * p, 2 * h * p  # (h + p r)**2 with r**2 = 2
+        if bit == "1":
+            h, p = h + 2 * p, h + p  # times 1 + r
+    return h, p
+
+
 class _DerivedOperators:
     """Subtraction and the reflected ``-`` and ``/``, spelled once.
 
@@ -114,16 +134,29 @@ class _DerivedOperators:
         return lhs / self
 
 
+def _coordinate(value: Fraction | int) -> Fraction | int:
+    """The exact value as an ``int`` when integral, else as a ``Fraction``."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 @dataclass(frozen=True, slots=True)
 class QuadraticNumber(_DerivedOperators):
-    """Exact element a + b*sqrt(2) with rational a and b."""
+    """Exact element a + b*sqrt(2) with rational a and b.
 
-    a: Fraction
-    b: Fraction
+    A coordinate is held as an ``int`` while it is integral and as a
+    ``Fraction`` otherwise; equal values compare and hash alike either
+    way.
+    """
+
+    a: Fraction | int
+    b: Fraction | int
 
     def __init__(self, a: Fraction | int = 0, b: Fraction | int = 0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "a", _coordinate(a))
+        object.__setattr__(self, "b", _coordinate(b))
 
     def __repr__(self) -> str:
         return f"QuadraticNumber({self.a}, {self.b})"
@@ -164,7 +197,7 @@ class QuadraticNumber(_DerivedOperators):
     def conjugate(self) -> QuadraticNumber:
         return QuadraticNumber(self.a, -self.b)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> Fraction | int:
         return self.a * self.a - 2 * self.b * self.b
 
     def __truediv__(self, other: object) -> QuadraticNumber:
@@ -175,7 +208,8 @@ class QuadraticNumber(_DerivedOperators):
         if not n:
             raise ZeroDivisionError("division by a number of norm zero")
         flipped = self * rhs.conjugate()
-        return QuadraticNumber(flipped.a / n, flipped.b / n)
+        # Fraction, not `/`: int / int would round to a float
+        return QuadraticNumber(Fraction(flipped.a, n), Fraction(flipped.b, n))
 
     def __pow__(self, exponent: int) -> QuadraticNumber:
         if not isinstance(exponent, int) or exponent < 0:
@@ -245,14 +279,16 @@ def count_nondecreasing_closed(n: int) -> int:
     """Number of weakly-increasing-valley paths of length ``n``.
 
     Computed in plain integer arithmetic as
-    ((1 + (-1)**n)/2 + half_companion_pell(n) - pell(n)) / 2 and cross
-    checked against the quadratic ring evaluation on every call; a
-    disagreement would be an arithmetic bug and raises.
+    ((1 + (-1)**n)/2 + half_companion_pell(n) - pell(n)) / 2, with the
+    Pell pair doubled in O(log n) products, and cross checked against
+    the quadratic ring evaluation on every call; a disagreement would
+    be an arithmetic bug and raises.
     """
     if n < 0:
         raise ValueError("defined for n >= 0 only")
     parity = (1 + (-1) ** n) // 2
-    total, remainder = divmod(parity + half_companion_pell(n) - pell(n), 2)
+    half_companion, pell_n = _silver_pair(n)
+    total, remainder = divmod(parity + half_companion - pell_n, 2)
     if remainder or total != count_nondecreasing_quadratic(n):
         raise NonIntegerResultError(f"closed form routes disagree at n={n}")
     return total

@@ -1,13 +1,16 @@
 """Exact formal power series and rational generating functions.
 
-Everything here runs on :class:`fractions.Fraction`; no floating point
-is involved anywhere.  A :class:`TruncatedSeries` holds coefficients 0
-through its order, binary operations truncate to the smaller order of
-the two operands, and division requires an invertible (nonzero)
-constant term.  A :class:`RationalGF` is an exact quotient of
-polynomials with the same operators; it expands through the linear
-recurrence read off its denominator, which keeps the cost at
-O(order * degree).
+No floating point is involved anywhere, and every coefficient handed
+out is a :class:`fractions.Fraction`.  A :class:`TruncatedSeries` holds
+coefficients 0 through its order and computes on them in ``Fraction``;
+binary operations truncate to the smaller order of the two operands,
+and division requires an invertible (nonzero) constant term.  A
+:class:`RationalGF` is an exact quotient of polynomials with the same
+operators.  Inside, it expands on ``int``: numerator and denominator
+are first scaled to integers, the linear recurrence read off the
+denominator gives all coefficients through an order in O(order *
+degree) integer steps, and Bostan-Mori gives a single coefficient in
+O(log n) polynomial products.  Only the results become ``Fraction``.
 
 The registry behind :func:`gf_coefficients` collects the named closed
 forms used across the package, including the continued fraction shapes.
@@ -19,6 +22,7 @@ coefficient.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -253,9 +257,13 @@ class RationalGF(_DerivedOperators):
     results are not reduced to lowest terms.  As with the other exact
     types, a scalar never compares equal, not even the same constant.
 
-    Coefficient extraction runs the recurrence
+    Both extractions work on the integer polynomials p and q that the
+    numerator and denominator become once scaled by the lcm of their
+    coefficients' denominators, which leaves the quotient unchanged.
+    :meth:`coefficients` runs the recurrence
     c[n] = (p[n] - sum(q[i] * c[n-i], i >= 1)) / q[0]
-    read off the denominator q, costing O(order * degree).
+    free of fractions, costing O(order * degree) integer steps, and
+    :meth:`coefficient` halves n per step by Bostan-Mori.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -319,19 +327,68 @@ class RationalGF(_DerivedOperators):
             self.numerator * rhs.denominator, self.denominator * rhs.numerator
         )
 
+    def _integer_terms(self) -> tuple[list[int], list[int]]:
+        """Numerator and denominator times the lcm of all their denominators."""
+        p, q = self.numerator.coefficients, self.denominator.coefficients
+        scale = math.lcm(*(c.denominator for c in p + q))
+        return [int(c * scale) for c in p], [int(c * scale) for c in q]
+
     def coefficients(self, order: int) -> tuple[Fraction, ...]:
+        """Coefficients 0..order, by the recurrence on integers.
+
+        With g[n] = c[n] * q[0]**(n+1) the recurrence needs no division:
+        g[n] = q[0]**n * p[n] - sum(q[i] * g[n-i] * q[0]**(i-1), i >= 1).
+        """
         if order < 0:
             raise ValueError("order must be >= 0")
-        p, q = self.numerator, self.denominator
-        q0 = q.constant_term
+        p, q = self._integer_terms()
+        q0 = q[0]
+        # q[i] * q0**(i-1) for the terms that are not zero
+        weights = [(i, q[i] * q0 ** (i - 1)) for i in range(1, len(q)) if q[i]]
+        g: list[int] = []
         out: list[Fraction] = []
+        q0_power = 1  # q0**n
         for n in range(order + 1):
-            acc = p[n]
-            for i in range(1, min(n, q.degree) + 1):
-                if q[i]:
-                    acc -= q[i] * out[n - i]
-            out.append(acc / q0)
+            acc = q0_power * p[n] if n < len(p) else 0
+            for i, weight in weights:
+                if i > n:
+                    break
+                acc -= weight * g[n - i]
+            g.append(acc)
+            q0_power *= q0
+            out.append(Fraction(acc, q0_power))
         return tuple(out)
+
+    def coefficient(self, n: int) -> Fraction:
+        """Coefficient n alone, by Bostan-Mori in O(log n) products.
+
+        With Q(z)Q(-z) = V(z**2) and P(z)Q(-z) = U0(z**2) + z*U1(z**2),
+        coefficient n of P/Q is coefficient n // 2 of U_r / V for
+        r = n mod 2.
+        """
+        if n < 0:
+            raise ValueError("order must be >= 0")
+        p, q = self._integer_terms()
+        while n:
+            q_minus = [-c if i % 2 else c for i, c in enumerate(q)]
+            p = _product_terms(p, q_minus, n % 2)
+            q = _product_terms(q, q_minus, 0)
+            n //= 2
+        return Fraction(p[0] if p else 0, q[0])
+
+
+def _product_terms(a: list[int], b: list[int], parity: int) -> list[int]:
+    """Terms parity, parity + 2, ... of the product of a and b.
+
+    The polynomials are integer coefficient lists, and the other half of
+    the product is never formed.
+    """
+    out = [0] * ((len(a) + len(b) - parity) // 2)
+    for i, x in enumerate(a):
+        if x:
+            for j in range((parity - i) % 2, len(b), 2):
+                out[(i + j) // 2] += x * b[j]
+    return out
 
 
 def _poly(*coeffs: Coeff) -> Polynomial:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from deutschpaths import cli, fibonacci, series
+from deutschpaths import cli, fibonacci, numbers, series
 
 
 def run_cli(*args, timeout=None):
@@ -54,6 +54,56 @@ def test_count_past_the_int_str_digit_limit():
     assert len(closed.stdout.strip()) > 4300
 
 
+def test_both_routes_count_a_hundred_thousand_steps_in_seconds():
+    # the series route took about 20 s here while it expanded every term
+    closed = run_cli("count", "--length", "100000", timeout=10)
+    by_series = run_cli("count", "--length", "100000", "--method", "series", timeout=10)
+    assert closed.returncode == by_series.returncode == 0
+    assert closed.stdout == by_series.stdout
+    assert len(closed.stdout.strip()) == 38277
+
+
+def test_gf_expansion_ends_on_the_count_at_twelve_thousand():
+    expansion = run_cli("gf", "--form", "with-empty", "--terms", "12000")
+    count = run_cli("count", "--length", "12000")
+    assert expansion.returncode == count.returncode == 0
+    coeffs = expansion.stdout.strip().split(", ")
+    assert len(coeffs) == 12001
+    assert coeffs[-1] + "\n" == count.stdout
+
+
+@pytest.fixture
+def ring_off_by_one_at_seven(monkeypatch):
+    """``count_nondecreasing_quadratic`` one too high at n = 7 only."""
+    ring = numbers.count_nondecreasing_quadratic
+    monkeypatch.setattr(
+        numbers, "count_nondecreasing_quadratic", lambda n: ring(n) + (n == 7)
+    )
+
+
+def test_a_ring_disagreement_ends_count(ring_off_by_one_at_seven, capsys):
+    assert cli.main(["count", "--length", "6"]) == 0
+    assert capsys.readouterr().out == "15\n"
+    assert cli.main(["count", "--length", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: closed form routes disagree at n=7\n"
+
+
+def test_table_checks_every_row_in_the_ring(monkeypatch, capsys):
+    calls = []
+    ring = numbers.count_nondecreasing_quadratic
+
+    def counted(n):
+        calls.append(n)
+        return ring(n)
+
+    monkeypatch.setattr(numbers, "count_nondecreasing_quadratic", counted)
+    assert cli.main(["table", "--max", "30"]) == 0
+    assert sorted(calls) == list(range(31))
+    assert len(capsys.readouterr().out.splitlines()) == 32
+
+
 def test_table_text():
     result = run_cli("table", "--max", "5", "--brute-cap", "4")
     assert result.returncode == 0
@@ -78,8 +128,15 @@ def test_table_json():
 
 @pytest.fixture
 def half_at_three(monkeypatch):
-    """``gf_coefficients`` with 1/2 in place of the with-empty count at n = 3."""
+    """1/2 in place of the with-empty count at n = 3.
+
+    Both ways to the series count carry it: ``gf_coefficients``, which
+    ``table`` reads, and ``RationalGF.coefficient``, which ``count``
+    reads.
+    """
     original = series.gf_coefficients
+    original_coefficient = series.RationalGF.coefficient
+    with_empty = series.named_form("with-empty")
 
     def fake(form, order):
         coeffs = list(original(form, order))
@@ -87,7 +144,13 @@ def half_at_three(monkeypatch):
             coeffs[3] = Fraction(1, 2)
         return coeffs
 
+    def fake_coefficient(gf, n):
+        if n == 3 and gf == with_empty:
+            return Fraction(1, 2)
+        return original_coefficient(gf, n)
+
     monkeypatch.setattr(series, "gf_coefficients", fake)
+    monkeypatch.setattr(series.RationalGF, "coefficient", fake_coefficient)
 
 
 def test_a_non_integral_series_count_shows(half_at_three, capsys):
@@ -243,6 +306,21 @@ class TestErrors:
 
     def test_negative_length(self):
         self.check("count", "--length", "-1", fragment="error:")
+
+    @pytest.mark.parametrize(
+        "method, message",
+        [
+            ("closed", "defined for n >= 0 only"),
+            ("series", "order must be >= 0"),
+            ("brute", "length must be >= 0"),
+            ("direct", "length must be >= 0"),
+        ],
+    )
+    def test_negative_length_by_method(self, capsys, method, message):
+        assert cli.main(["count", "--length", "-1", "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_unknown_method(self):
         result = run_cli("count", "--length", "4", "--method", "guess")

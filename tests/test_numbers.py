@@ -5,7 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from deutschpaths import numbers
 from deutschpaths import (
     DoesNotStartWithDominoError,
     NonIntegerResultError,
@@ -57,6 +59,12 @@ class TestSequences:
         assert binet_pell(n) == pell(n)
         assert binet_half_companion(n) == half_companion_pell(n)
 
+    def test_silver_pair_matches_the_recurrences(self):
+        # the doubled pair against the two linear loops it replaces
+        for n in range(2001):
+            assert numbers._silver_pair(n) == (half_companion_pell(n), pell(n)), n
+        assert numbers._silver_pair(10**5) == (half_companion_pell(10**5), pell(10**5))
+
 
 class TestQuadraticNumber:
     def test_silver_algebra(self):
@@ -91,6 +99,43 @@ class TestQuadraticNumber:
         x = QuadraticNumber(3, 2)
         assert x.conjugate() == QuadraticNumber(3, -2)
         assert x.norm() == Fraction(1)
+
+    def test_integral_coordinates_stay_int(self):
+        power = SILVER_RATIO**50
+        assert type(power.a) is type(power.b) is int
+        assert type((SILVER_RATIO / 2).a) is Fraction
+        assert type((QuadraticNumber(Fraction(4, 2)) * SQRT2).b) is int
+        assert QuadraticNumber(Fraction(3), 1) == QuadraticNumber(3, 1)
+        assert hash(QuadraticNumber(Fraction(3), 1)) == hash(QuadraticNumber(3, Fraction(1)))
+        assert repr(power / power) == "QuadraticNumber(1, 0)"
+        assert str(SILVER_RATIO / 2) == "1/2 + 1/2*sqrt(2)"
+
+    def test_division_of_huge_integral_values_stays_exact(self):
+        # int / int would overflow to a float long before these sizes
+        big = SILVER_RATIO**11000
+        assert big / big == QuadraticNumber(1)
+        assert (big / 2 ** 20000).b == Fraction(pell(11000), 2 ** 20000)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-50, 50),
+                st.fractions(min_value=-9, max_value=9, max_denominator=6),
+            ),
+            min_size=4,
+            max_size=4,
+        ),
+        st.integers(0, 12),
+    )
+    def test_ring_operations_never_give_a_float(self, coords, exponent):
+        x, y = QuadraticNumber(*coords[:2]), QuadraticNumber(*coords[2:])
+        results = [x + y, x - y, x * y, -x, x.conjugate(), x**exponent, 3 - x, x * 2]
+        results += [x / y] if y.norm() else []
+        results += [Fraction(1, 3) / x, 7 / x] if x.norm() else []
+        for value in results:
+            assert isinstance(value.a, (int, Fraction)), value
+            assert isinstance(value.b, (int, Fraction)), value
+        assert not isinstance(x.norm(), float)
 
     def test_as_integer(self):
         assert QuadraticNumber(7, 0).as_integer() == 7
@@ -137,6 +182,17 @@ class TestClosedCounts:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             count_nondecreasing_closed(-1)
+
+    def test_a_ring_disagreement_raises(self, monkeypatch):
+        ring = numbers.count_nondecreasing_quadratic
+
+        def off_by_one_at_seven(n):
+            return ring(n) + (n == 7)
+
+        monkeypatch.setattr(numbers, "count_nondecreasing_quadratic", off_by_one_at_seven)
+        assert count_nondecreasing_closed(6) == 15
+        with pytest.raises(NonIntegerResultError, match="closed form routes disagree at n=7"):
+            count_nondecreasing_closed(7)
 
 
 class TestMountainCounts:

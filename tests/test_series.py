@@ -21,6 +21,7 @@ from deutschpaths import (
     fibonacci,
     format_coefficients,
     gf_coefficients,
+    named_form,
     star_identity_holds,
 )
 
@@ -114,6 +115,30 @@ class TestRationalGF:
         gf = RationalGF(num, den)
         direct = TruncatedSeries(num.coefficients, 20) / TruncatedSeries(den.coefficients, 20)
         assert gf.coefficients(20) == direct.coefficients
+
+    def test_matches_series_division_with_fractions(self):
+        # q0 = 2 and fractional coefficients on both sides
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        num = Polynomial([half, -third, 0, Fraction(5, 7)])
+        den = Polynomial([2, third, -half, 1, Fraction(-3, 4)])
+        gf = RationalGF(num, den)
+        direct = TruncatedSeries(num.coefficients, 30) / TruncatedSeries(den.coefficients, 30)
+        assert gf.coefficients(30) == direct.coefficients
+        assert all(type(c) is Fraction for c in gf.coefficients(30))
+        assert [gf.coefficient(n) for n in range(31)] == list(direct.coefficients)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(-5, 5), rationals), max_size=6),
+        st.sampled_from([1, -1, 2, Fraction(1, 3)]),
+        st.lists(st.one_of(st.integers(-5, 5), rationals), max_size=5),
+        st.integers(0, 60),
+    )
+    def test_single_coefficient_matches_the_expansion(self, num, q0, den_tail, n):
+        gf = RationalGF(Polynomial(num), Polynomial([q0] + den_tail))
+        value = gf.coefficient(n)
+        assert type(value) is Fraction
+        assert value == gf.coefficients(n)[n]
 
     def test_operators_coerce_scalars(self):
         z = RationalGF(Polynomial([0, 1]), Polynomial([1]))
@@ -285,6 +310,12 @@ class TestNamedForms:
 
     def test_integrality_of_partial_fractions(self):
         assert all(c.denominator == 1 for c in gf_coefficients("partial-fractions", 64))
+
+    @pytest.mark.parametrize("name", FORM_NAMES)
+    def test_single_coefficients_match_the_expansion(self, name):
+        form = named_form(name)
+        expansion = form.coefficients(300)
+        assert [form.coefficient(n) for n in range(301)] == list(expansion)
 
     def test_order_zero(self):
         for name in FORM_NAMES:
