@@ -1,10 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on usage errors
-including malformed paths, trees and form names.  No length is refused:
-the enumerating routes take time that grows with the number of paths.
-All output is deterministic byte for byte given identical flags; JSON
-output is line oriented where a command prints several records.
+including malformed paths, trees and form names, and when memory runs
+out.  No length is refused: the enumerating routes take time that grows
+with the number of paths.  All output is deterministic byte for byte
+given identical flags; JSON output is line oriented where a command
+prints several records.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    path = paths.validate(paths.parse_path(args.path))
-    tree = trees.path_to_tree(path)
+    tree = trees.path_to_tree(paths.parse_path(args.path))
     print(trees.tree_to_json(tree) if args.json else trees.render_outline(tree))
     return 0
 
@@ -216,6 +216,9 @@ def main(argv: list[str] | None = None) -> int:
     # BrokenPipeError propagates, as under `| head`
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     finally:
         if limit is not None:

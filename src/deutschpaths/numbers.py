@@ -16,6 +16,7 @@ backwards so that F(0) = 0 and F(-1) = 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -105,32 +106,43 @@ def _silver_pair(n: int) -> tuple[int, int]:
     return h, p
 
 
+def _lifted(method):
+    """Give a binary operator the operand rule of :class:`_DerivedOperators`."""
+
+    @functools.wraps(method)
+    def operator(self, other):
+        if not isinstance(other, type(self)):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self._scalar(other)
+        return method(self, other)
+
+    return operator
+
+
 class _DerivedOperators:
     """Subtraction and the reflected ``-`` and ``/``, spelled once.
 
-    Each calls the subclass's own ``_coerce``, ``+``, unary ``-`` and
-    ``/``, so the exact types share this spelling and no arithmetic.
-    ``_coerce`` returns None for an operand it cannot lift.
+    Each calls the subclass's own ``+``, unary ``-`` and ``/``, so the
+    exact types share this spelling and no arithmetic.  Every binary
+    operator of the exact types takes its operand by one rule, applied
+    by :func:`_lifted`: its own type as is, an ``int`` or ``Fraction``
+    lifted by the class's ``_scalar``, and anything else declined with
+    ``NotImplemented``, so that Python tries the other operand.
     """
 
     __slots__ = ()
 
-    def __sub__(self, other: object):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+    @_lifted
+    def __sub__(self, rhs):
         return self + (-rhs)
 
-    def __rsub__(self, other: object):
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
+    @_lifted
+    def __rsub__(self, lhs):
         return lhs - self
 
-    def __rtruediv__(self, other: object):
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
+    @_lifted
+    def __rtruediv__(self, lhs):
         return lhs / self
 
 
@@ -164,17 +176,11 @@ class QuadraticNumber(_DerivedOperators):
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*sqrt(2)"
 
-    def _coerce(self, other: object) -> QuadraticNumber | None:
-        if isinstance(other, QuadraticNumber):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(other)
-        return None
+    def _scalar(self, value: Fraction | int) -> QuadraticNumber:
+        return QuadraticNumber(value)
 
-    def __add__(self, other: object) -> QuadraticNumber:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+    @_lifted
+    def __add__(self, rhs: QuadraticNumber) -> QuadraticNumber:
         return QuadraticNumber(self.a + rhs.a, self.b + rhs.b)
 
     __radd__ = __add__
@@ -182,15 +188,11 @@ class QuadraticNumber(_DerivedOperators):
     def __neg__(self) -> QuadraticNumber:
         return QuadraticNumber(-self.a, -self.b)
 
-    def __mul__(self, other: object) -> QuadraticNumber:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        # (a1 + b1 r)(a2 + b2 r) with r**2 = 2
-        return QuadraticNumber(
-            self.a * rhs.a + 2 * self.b * rhs.b,
-            self.a * rhs.b + self.b * rhs.a,
-        )
+    @_lifted
+    def __mul__(self, rhs: QuadraticNumber) -> QuadraticNumber:
+        # (a1 + b1 r)(a2 + b2 r) with r**2 = 2, in three products
+        aa, bb = self.a * rhs.a, self.b * rhs.b
+        return QuadraticNumber(aa + 2 * bb, (self.a + self.b) * (rhs.a + rhs.b) - aa - bb)
 
     __rmul__ = __mul__
 
@@ -200,10 +202,8 @@ class QuadraticNumber(_DerivedOperators):
     def norm(self) -> Fraction | int:
         return self.a * self.a - 2 * self.b * self.b
 
-    def __truediv__(self, other: object) -> QuadraticNumber:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+    @_lifted
+    def __truediv__(self, rhs: QuadraticNumber) -> QuadraticNumber:
         n = rhs.norm()
         if not n:
             raise ZeroDivisionError("division by a number of norm zero")

@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .numbers import _DerivedOperators
+from .numbers import _DerivedOperators, _lifted
 
 __all__ = [
     "ZeroConstantTermError",
@@ -123,17 +123,11 @@ class TruncatedSeries(_DerivedOperators):
         tail = ", ..." if self.order > 7 else ""
         return f"TruncatedSeries([{shown}{tail}], order={self.order})"
 
-    def _coerce(self, other: object) -> TruncatedSeries | None:
-        if isinstance(other, TruncatedSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries.constant(other, self.order)
-        return None
+    def _scalar(self, value: Coeff) -> TruncatedSeries:
+        return TruncatedSeries.constant(value, self.order)
 
-    def __add__(self, other: object) -> TruncatedSeries:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+    @_lifted
+    def __add__(self, rhs: TruncatedSeries) -> TruncatedSeries:
         order = min(self.order, rhs.order)
         return TruncatedSeries(
             [self._coeffs[n] + rhs._coeffs[n] for n in range(order + 1)]
@@ -144,10 +138,8 @@ class TruncatedSeries(_DerivedOperators):
     def __neg__(self) -> TruncatedSeries:
         return TruncatedSeries([-c for c in self._coeffs])
 
-    def __mul__(self, other: object) -> TruncatedSeries:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+    @_lifted
+    def __mul__(self, rhs: TruncatedSeries) -> TruncatedSeries:
         order = min(self.order, rhs.order)
         out = [Fraction(0)] * (order + 1)
         for i, a in enumerate(self._coeffs[: order + 1]):
@@ -161,10 +153,8 @@ class TruncatedSeries(_DerivedOperators):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: object) -> TruncatedSeries:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+    @_lifted
+    def __truediv__(self, rhs: TruncatedSeries) -> TruncatedSeries:
         if not rhs._coeffs[0]:
             raise ZeroConstantTermError("division needs a nonzero constant term")
         order = min(self.order, rhs.order)
@@ -277,13 +267,8 @@ class RationalGF(_DerivedOperators):
     def __repr__(self) -> str:
         return f"RationalGF({self.numerator!r}, {self.denominator!r})"
 
-    @staticmethod
-    def _coerce(other: object) -> RationalGF | None:
-        if isinstance(other, RationalGF):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RationalGF(Polynomial([other]), Polynomial([1]))
-        return None
+    def _scalar(self, value: Coeff) -> RationalGF:
+        return RationalGF(Polynomial([value]), Polynomial([1]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalGF):
@@ -292,10 +277,8 @@ class RationalGF(_DerivedOperators):
 
     __hash__ = None  # equal values may have different numerator/denominator pairs
 
-    def __add__(self, other: object) -> RationalGF:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+    @_lifted
+    def __add__(self, rhs: RationalGF) -> RationalGF:
         return RationalGF(
             self.numerator * rhs.denominator + rhs.numerator * self.denominator,
             self.denominator * rhs.denominator,
@@ -306,21 +289,17 @@ class RationalGF(_DerivedOperators):
     def __neg__(self) -> RationalGF:
         return RationalGF(-self.numerator, self.denominator)
 
-    def __mul__(self, other: object) -> RationalGF:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
+    @_lifted
+    def __mul__(self, rhs: RationalGF) -> RationalGF:
         return RationalGF(
             self.numerator * rhs.numerator, self.denominator * rhs.denominator
         )
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: object) -> RationalGF:
+    @_lifted
+    def __truediv__(self, rhs: RationalGF) -> RationalGF:
         """Exact quotient; the divisor must not vanish at z = 0."""
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
         if not rhs.numerator.constant_term:
             raise ZeroConstantTermError("division needs a nonzero constant term")
         return RationalGF(

@@ -190,12 +190,12 @@ def _series_vs_brute_failures(max_length: int, brute: list[int]) -> _Failures:
 
 
 def _mountain_series_failures(max_length: int, mountains: list[int]) -> _Failures:
-    coeffs = series.gf_coefficients("mountain", SERIES_ORDER)
+    coeffs = series.gf_coefficients("mountain", max(SERIES_ORDER, max_length))
     fib_ok = all(
         coeffs[k] == (numbers.fibonacci(k - 1) if k >= 2 else 0)
         for k in range(SERIES_ORDER + 1)
     )
-    census_ok = all(coeffs[k] == mountains[k] for k in range(min(max_length, 12) + 1))
+    census_ok = list(coeffs[: max_length + 1]) == mountains
     if not (fib_ok and census_ok):
         yield None, ""
 

@@ -287,6 +287,20 @@ class TestErrors:
     def test_decreasing_valleys(self):
         self.check("tree", "--path", "U U D1 U D2 U D1", fragment="valley levels decrease")
 
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            ("U", "path ends at level 1, expected 0"),
+            ("U D2", "path reaches level -1 after step 2"),
+            ("U U D1 U D2 U D1", "valley levels decrease in 'U U D1 U D2 U D1'"),
+        ],
+    )
+    def test_invalid_tree_path(self, capsys, tokens, message):
+        assert cli.main(["tree", "--path", tokens]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_bad_tree_json(self):
         self.check("path", "--tree", "not json", fragment="error:")
 
@@ -321,6 +335,23 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_out_of_memory(self):
+        # 10**20 coefficients cannot fit; under a 512 MiB address-space
+        # limit the expansion runs out of memory within seconds
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+            "from deutschpaths.__main__ import entry\n"
+            "sys.argv[1:] = ['gf', '--form', 'with-empty', '--terms', '100000000000000000000']\n"
+            "raise SystemExit(entry())\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: out of memory\n"
 
     def test_unknown_method(self):
         result = run_cli("count", "--length", "4", "--method", "guess")

@@ -137,6 +137,24 @@ class TestQuadraticNumber:
             assert isinstance(value.b, (int, Fraction)), value
         assert not isinstance(x.norm(), float)
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-(10**30), 10**30),
+                st.fractions(min_value=-9, max_value=9, max_denominator=6),
+            ),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    def test_product_matches_the_four_product_formula(self, coords):
+        a1, b1, a2, b2 = coords
+        product = QuadraticNumber(a1, b1) * QuadraticNumber(a2, b2)
+        # (a1 + b1 r)(a2 + b2 r) with r**2 = 2, one product per pair of terms
+        expected = QuadraticNumber(a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2)
+        assert product == expected
+        assert repr(product) == repr(expected)
+
     def test_as_integer(self):
         assert QuadraticNumber(7, 0).as_integer() == 7
         with pytest.raises(NonIntegerResultError):

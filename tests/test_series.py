@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -182,15 +183,26 @@ class TestRationalGF:
         assert Polynomial([1, 0, 0]).degree == 0
 
 
-@pytest.mark.parametrize(
-    "x",
-    [
-        SILVER_RATIO,
-        TruncatedSeries.variable(3),
-        RationalGF(Polynomial([0, 1]), Polynomial([1])),
-    ],
-    ids=lambda x: type(x).__name__,
-)
+# one invertible instance of each exact type, so a scalar divides by it
+_EXACT = [
+    SILVER_RATIO,
+    TruncatedSeries([1, 2], 3),
+    RationalGF(Polynomial([1, 2]), Polynomial([1])),
+]
+_OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv]
+_LIFTS = {
+    QuadraticNumber: lambda x, value: QuadraticNumber(value),
+    TruncatedSeries: lambda x, value: TruncatedSeries.constant(value, x.order),
+    RationalGF: lambda x, value: RationalGF(Polynomial([value]), Polynomial([1])),
+}
+_DIVISION_BY_ZERO = {
+    QuadraticNumber: ZeroDivisionError,
+    TruncatedSeries: ZeroConstantTermError,
+    RationalGF: ZeroConstantTermError,
+}
+
+
+@pytest.mark.parametrize("x", _EXACT, ids=lambda x: type(x).__name__)
 def test_exact_types_reject_other_operands(x):
     name = type(x).__name__
     cases = [
@@ -202,8 +214,46 @@ def test_exact_types_reject_other_operands(x):
         with pytest.raises(TypeError) as excinfo:
             attempt()
         assert str(excinfo.value) == f"unsupported operand type(s) for {operands}"
+    # Every operator, both ways round, fails as it would for a type of
+    # the same name that defines no operators at all.
+    stand_in = type(name, (), {})()
+    others = [1.5, "a", None, Polynomial([1, 1])]
+    others += [y for y in _EXACT if type(y) is not type(x)]
+    for op in _OPERATORS:
+        for other in others:
+            for operands, expected in (
+                ((x, other), (stand_in, other)),
+                ((other, x), (other, stand_in)),
+            ):
+                with pytest.raises(TypeError) as wanted:
+                    op(*expected)
+                with pytest.raises(TypeError) as excinfo:
+                    op(*operands)
+                assert str(excinfo.value) == str(wanted.value)
     # slotted all the way up: no instance carries a __dict__
     assert not hasattr(x, "__dict__")
+
+
+@pytest.mark.parametrize("x", _EXACT, ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("scalar", [3, Fraction(1, 2), True], ids=repr)
+def test_exact_types_lift_int_and_fraction(x, scalar):
+    lifted = _LIFTS[type(x)](x, scalar)
+    for op in _OPERATORS:
+        for result, expected in ((op(x, scalar), op(x, lifted)), (op(scalar, x), op(lifted, x))):
+            assert type(result) is type(x)
+            assert result == expected
+
+
+@pytest.mark.parametrize("x", _EXACT, ids=lambda x: type(x).__name__)
+def test_exact_types_keep_their_division_by_zero(x):
+    error = _DIVISION_BY_ZERO[type(x)]
+    with pytest.raises(error) as wanted:
+        x / _LIFTS[type(x)](x, 0)
+    for zero in (0, Fraction(0), False):
+        with pytest.raises(error) as excinfo:
+            x / zero
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == str(wanted.value)
 
 
 @pytest.mark.parametrize(

@@ -527,3 +527,12 @@ def test_each_route_is_walked_once_per_length(monkeypatch):
         "enumerate_nondecreasing_direct": lengths,
         "iter_decompositions": 2 * lengths,
     }
+
+
+@pytest.mark.parametrize("wrong", [(12,), (13, 14)], ids=str)
+def test_mountain_series_reads_the_whole_census(wrong):
+    census = [numbers.count_mountains(k) for k in range(15)]
+    assert list(verify._mountain_series_failures(14, census)) == []
+    for k in wrong:
+        census[k] += 1
+    assert list(verify._mountain_series_failures(14, census)) == [(None, "")]
