@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 __all__ = [
     "NonIntegerResultError",
@@ -44,7 +44,6 @@ __all__ = [
     "count_square_first_tilings",
     "delete_leading_domino",
     "render_tiling",
-    "format_bfile",
 ]
 
 
@@ -397,8 +396,3 @@ def delete_leading_domino(tiling: Tiling) -> Tiling:
 def render_tiling(tiling: Tiling) -> str:
     """Tokens "S" and "D" separated by single spaces."""
     return " ".join("S" if piece is Piece.SQUARE else "D" for piece in tiling)
-
-
-def format_bfile(values: Sequence[int], start: int = 0) -> str:
-    """OEIS b-file style listing, one "index value" pair per line."""
-    return "\n".join(f"{start + i} {v}" for i, v in enumerate(values))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, combinations_with_replacement, groupby, pairwise, product
@@ -37,7 +36,6 @@ __all__ = [
     "Mountain",
     "Decomposition",
     "PathStats",
-    "StatsSummary",
     "parse_path",
     "render_path",
     "path_to_json",
@@ -54,7 +52,6 @@ __all__ = [
     "decompose",
     "compose",
     "path_stats",
-    "statistics",
 ]
 
 
@@ -489,29 +486,4 @@ def path_stats(path: DeutschPath) -> PathStats:
         downstep_count=downs,
         height=top,
         valley_levels=levels,
-    )
-
-
-@dataclass(frozen=True)
-class StatsSummary:
-    """Aggregate view over all weakly-increasing-valley paths of one length.
-
-    The histograms map a value to how many paths attain it: number of
-    down-steps, path height, and number of valleys respectively.
-    """
-
-    records: tuple[PathStats, ...]
-    downstep_histogram: dict[int, int]
-    height_histogram: dict[int, int]
-    valley_histogram: dict[int, int]
-
-
-def statistics(n: int) -> StatsSummary:
-    """Collect :class:`PathStats` for every qualifying path of length ``n``."""
-    records = tuple(path_stats(p) for p in enumerate_nondecreasing_filter(n))
-    return StatsSummary(
-        records=records,
-        downstep_histogram=dict(Counter(r.downstep_count for r in records)),
-        height_histogram=dict(Counter(r.height for r in records)),
-        valley_histogram=dict(Counter(len(r.valley_levels) for r in records)),
     )

@@ -35,7 +35,6 @@ __all__ = [
     "TruncatedSeries",
     "Polynomial",
     "RationalGF",
-    "DEFAULT_ORDER",
     "FORM_NAMES",
     "named_form",
     "gf_coefficients",
@@ -43,9 +42,6 @@ __all__ = [
     "format_coefficients",
     "coefficients_to_json",
 ]
-
-DEFAULT_ORDER = 64
-
 
 class ZeroConstantTermError(ZeroDivisionError):
     """Raised when a division needs a nonzero constant term and has none."""
@@ -62,10 +58,6 @@ class UnknownFormError(ValueError):
 Coeff = Fraction | int
 
 
-def _fractions(values: Iterable[Coeff]) -> list[Fraction]:
-    return [Fraction(v) for v in values]
-
-
 class TruncatedSeries(_DerivedOperators):
     """Power series known through z**order, with exact coefficients.
 
@@ -77,7 +69,7 @@ class TruncatedSeries(_DerivedOperators):
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Coeff], order: int | None = None):
-        cs = _fractions(coeffs)
+        cs = [Fraction(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
@@ -106,9 +98,6 @@ class TruncatedSeries(_DerivedOperators):
 
     def __getitem__(self, n: int) -> Fraction:
         return self._coeffs[n]
-
-    def truncate(self, order: int) -> TruncatedSeries:
-        return TruncatedSeries(self._coeffs, order)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -174,7 +163,7 @@ class Polynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Coeff] = ()):
-        cs = _fractions(coeffs)
+        cs = [Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -182,11 +171,6 @@ class Polynomial:
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
 
     @property
     def constant_term(self) -> Fraction:
@@ -214,11 +198,6 @@ class Polynomial:
 
     def __neg__(self) -> Polynomial:
         return Polynomial([-c for c in self._coeffs])
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: object) -> Polynomial:
         if isinstance(other, (int, Fraction)):
@@ -442,7 +421,7 @@ def named_form(form: str) -> RationalGF:
     return builder()
 
 
-def gf_coefficients(form: str, order: int = DEFAULT_ORDER) -> tuple[Fraction, ...]:
+def gf_coefficients(form: str, order: int) -> tuple[Fraction, ...]:
     """Coefficients 0..order of a named generating function."""
     return named_form(form).coefficients(order)
 
@@ -454,8 +433,8 @@ def star_identity_holds(a: TruncatedSeries, b: TruncatedSeries, order: int) -> b
     being compared do not exist and
     :class:`NonzeroConstantTermError` is raised.
     """
-    a = a.truncate(order)
-    b = b.truncate(order)
+    a = TruncatedSeries(a.coefficients, order)
+    b = TruncatedSeries(b.coefficients, order)
     if a[0] or b[0]:
         raise NonzeroConstantTermError("both arguments must have zero constant term")
     lhs = 1 / (1 - a - b)

@@ -26,7 +26,6 @@ from deutschpaths import (
     delete_leading_domino,
     enumerate_tilings,
     fibonacci,
-    format_bfile,
     gf_coefficients,
     half_companion_pell,
     pell,
@@ -269,11 +268,3 @@ class TestTilings:
         assert len(images) == len(with_domino)
         assert images == set(enumerate_tilings(n - 2))
 
-
-class TestBfile:
-    def test_format(self):
-        values = [count_nondecreasing_closed(n) for n in range(4)]
-        assert format_bfile(values) == "0 1\n1 0\n2 1\n3 1"
-
-    def test_offset(self):
-        assert format_bfile([5, 8], start=3) == "3 5\n4 8"

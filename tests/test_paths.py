@@ -35,7 +35,6 @@ from deutschpaths import (
     path_stats,
     path_to_json,
     render_path,
-    statistics,
     valley_levels,
     validate,
 )
@@ -448,17 +447,9 @@ class TestDecomposition:
 
 class TestStatistics:
     def test_empty_length(self):
-        summary = statistics(0)
-        assert len(summary.records) == 1
-        record = summary.records[0]
+        record = path_stats(parse_path(""))
         assert (record.length, record.up_count, record.downstep_count) == (0, 0, 0)
         assert record.height == 0 and record.valley_levels == ()
-
-    def test_length_five_down_steps(self):
-        # five paths take two down-steps, the staircase to level 4 takes one
-        summary = statistics(5)
-        assert summary.downstep_histogram == {1: 1, 2: 5}
-        assert summary.valley_histogram == {0: 3, 1: 3}
 
     def test_record_fields(self):
         stats = path_stats(parse_path("U U D1 U D2"))
@@ -468,10 +459,3 @@ class TestStatistics:
         assert stats.downstep_count == 2
         assert stats.height == 2
         assert stats.valley_levels == (1,)
-
-    def test_histograms_cover_all_records(self):
-        summary = statistics(6)
-        assert len(summary.records) == EXPECTED_COUNTS[6]
-        assert sum(summary.downstep_histogram.values()) == len(summary.records)
-        assert sum(summary.height_histogram.values()) == len(summary.records)
-        assert sum(summary.valley_histogram.values()) == len(summary.records)

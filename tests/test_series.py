@@ -64,7 +64,7 @@ class TestTruncatedSeries:
     def test_truncate_pads_and_trims(self):
         a = _series([1, 2], order=4)
         assert a.coefficients == (1, 2, 0, 0, 0)
-        assert a.truncate(1).coefficients == (1, 2)
+        assert _series([1, 2, 3], order=1).coefficients == (1, 2)
 
     def test_operators_coerce_scalars(self):
         x, half = 1 + 2 * TruncatedSeries.variable(3), Fraction(1, 2)
@@ -179,8 +179,9 @@ class TestRationalGF:
     def test_polynomial_algebra(self):
         p = Polynomial([1, 1]) * Polynomial([1, -2])
         assert p == Polynomial([1, -1, -2])
-        assert (p - p).degree == -1
-        assert Polynomial([1, 0, 0]).degree == 0
+        assert (p + -p).coefficients == ()
+        assert Polynomial([1, 0, 0]).coefficients == (1,)
+        assert Polynomial([0, 0]).coefficients == ()
 
 
 # one invertible instance of each exact type, so a scalar divides by it
@@ -232,6 +233,14 @@ def test_exact_types_reject_other_operands(x):
                 assert str(excinfo.value) == str(wanted.value)
     # slotted all the way up: no instance carries a __dict__
     assert not hasattr(x, "__dict__")
+
+
+def test_polynomial_has_no_subtraction():
+    # RationalGF subtracts by negating a numerator and adding
+    with pytest.raises(TypeError) as excinfo:
+        Polynomial([1]) - Polynomial([1])
+    operands = "-: 'Polynomial' and 'Polynomial'"
+    assert str(excinfo.value) == f"unsupported operand type(s) for {operands}"
 
 
 @pytest.mark.parametrize("x", _EXACT, ids=lambda x: type(x).__name__)

@@ -20,3 +20,21 @@ def test_the_package_keeps_no_assert():
     ]
     assert len(SOURCES) == 8
     assert found == []
+
+
+def _imported_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            # the star imports of __init__.py bind no name of their own
+            yield from (alias.asname or alias.name for alias in node.names if alias.name != "*")
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for source in SOURCES:
+        tree = ast.parse(source.read_text(), str(source))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{source.name}: {name}" for name in _imported_names(tree) if name not in used]
+    assert unused == []
