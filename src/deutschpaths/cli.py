@@ -4,13 +4,14 @@ Exit codes: 0 on success, 1 when verification fails, 2 on usage errors
 including malformed paths, trees and form names, and when memory runs
 out.  No length is refused: the enumerating routes take time that grows
 with the number of paths.  All output is deterministic byte for byte
-given identical flags; JSON output is line oriented where a command
-prints several records.
+given identical flags, save the measured seconds of ``verify --json``;
+JSON output is line oriented where a command prints several records.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -112,6 +113,15 @@ def _cmd_tilings(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.json:
+        census_seconds, results = verify.timed_checks(args.max)
+        census = f"census: each enumeration route walked once per length (n <= {args.max})"
+        records = [{"name": census, "passed": None, "detail": "", "seconds": census_seconds}]
+        records += [dataclasses.asdict(result) for result in results]
+        for record in records:
+            record["seconds"] = round(record["seconds"], 6)
+            print(json.dumps(record, separators=(",", ":")))
+        return 0 if all(result.passed for result in results) else 1
     results = verify.run_checks(args.max)
     failures = 0
     for result in results:
@@ -196,6 +206,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=12,
         metavar="N",
         help="largest length brute-force enumerations cover (default: 12)",
+    )
+    p.add_argument(
+        "--json",
+        action="store_true",
+        help="one JSON record per check, with its seconds, after one for the census",
     )
     p.set_defaults(handler=_cmd_verify)
 

@@ -2,9 +2,11 @@
 
 No floating point is involved anywhere, and every coefficient handed
 out is a :class:`fractions.Fraction`.  A :class:`TruncatedSeries` holds
-coefficients 0 through its order and computes on them in ``Fraction``;
-binary operations truncate to the smaller order of the two operands,
-and division requires an invertible (nonzero) constant term.  A
+coefficients 0 through its order as ``int`` numerators over one common
+``int`` denominator, computes on those integers, and builds a
+``Fraction`` only for a coefficient read out; binary operations
+truncate to the smaller order of the two operands, and division
+requires an invertible (nonzero) constant term.  A
 :class:`RationalGF` is an exact quotient of polynomials with the same
 operators.  Inside, it expands on ``int``: numerator and denominator
 are first scaled to integers, the linear recurrence read off the
@@ -64,20 +66,42 @@ class TruncatedSeries(_DerivedOperators):
     Supports +, -, * and / with other series and with int or Fraction
     scalars, so expressions read like the formulas they implement, for
     example ``1 / (1 - z * z)``.
+
+    The coefficients are held as ``int`` numerators over one positive
+    ``int`` denominator, in lowest terms: no prime divides the
+    denominator and every numerator.  Equal series therefore have equal
+    numerators and denominators.  The operators work on these integers
+    and reduce once at the end (the fraction-free scheme of Knuth, TAOCP
+    vol. 2, 4.7); a coefficient becomes a ``Fraction`` only when it is
+    read, through :attr:`coefficients`, indexing or ``repr``.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_numerators", "_denominator")
 
     def __init__(self, coeffs: Iterable[Coeff], order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        values = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
-            del cs[order + 1 :]
-            cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        elif not cs:
+            del values[order + 1 :]
+            values.extend([0] * (order + 1 - len(values)))
+        elif not values:
             raise ValueError("need at least one coefficient or an explicit order")
-        self._coeffs = tuple(cs)
+        # over the lcm of the reduced denominators, already in lowest terms
+        denominator = math.lcm(*(v.denominator for v in values))
+        self._numerators = tuple(v.numerator * (denominator // v.denominator) for v in values)
+        self._denominator = denominator
+
+    @classmethod
+    def _reduced(cls, numerators: list[int], denominator: int) -> TruncatedSeries:
+        """The series numerators / denominator, for any nonzero denominator."""
+        common = math.gcd(denominator, *numerators)
+        if denominator < 0:
+            common = -common
+        series = object.__new__(cls)
+        series._numerators = tuple(n // common for n in numerators)
+        series._denominator = denominator // common
+        return series
 
     @classmethod
     def constant(cls, value: Coeff, order: int) -> TruncatedSeries:
@@ -90,25 +114,27 @@ class TruncatedSeries(_DerivedOperators):
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._numerators) - 1
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(n, self._denominator) for n in self._numerators)
 
     def __getitem__(self, n: int) -> Fraction:
-        return self._coeffs[n]
+        return Fraction(self._numerators[n], self._denominator)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return (
+            self._denominator == other._denominator and self._numerators == other._numerators
+        )
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash(self.coefficients)
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self._coeffs[:8])
+        shown = ", ".join(str(c) for c in self.coefficients[:8])
         tail = ", ..." if self.order > 7 else ""
         return f"TruncatedSeries([{shown}{tail}], order={self.order})"
 
@@ -117,44 +143,65 @@ class TruncatedSeries(_DerivedOperators):
 
     @_lifted
     def __add__(self, rhs: TruncatedSeries) -> TruncatedSeries:
-        order = min(self.order, rhs.order)
-        return TruncatedSeries(
-            [self._coeffs[n] + rhs._coeffs[n] for n in range(order + 1)]
+        common = math.lcm(self._denominator, rhs._denominator)
+        s, t = common // self._denominator, common // rhs._denominator
+        # zip stops at the smaller order
+        return TruncatedSeries._reduced(
+            [a * s + b * t for a, b in zip(self._numerators, rhs._numerators)], common
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries([-c for c in self._coeffs])
+        return TruncatedSeries._reduced([-a for a in self._numerators], self._denominator)
 
     @_lifted
     def __mul__(self, rhs: TruncatedSeries) -> TruncatedSeries:
         order = min(self.order, rhs.order)
-        out = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(self._coeffs[: order + 1]):
+        out = [0] * (order + 1)
+        for i, a in enumerate(self._numerators[: order + 1]):
             if not a:
                 continue
-            for j in range(order + 1 - i):
-                b = rhs._coeffs[j]
+            for j, b in enumerate(rhs._numerators[: order + 1 - i]):
                 if b:
                     out[i + j] += a * b
-        return TruncatedSeries(out)
+        return TruncatedSeries._reduced(out, self._denominator * rhs._denominator)
 
     __rmul__ = __mul__
 
     @_lifted
     def __truediv__(self, rhs: TruncatedSeries) -> TruncatedSeries:
-        if not rhs._coeffs[0]:
+        """Quotient by the recurrence scaled free of fractions.
+
+        With alpha over e the dividend and beta over d the divisor, the
+        quotient's coefficient k is d * gamma[k] / (e * beta[0]**(k+1)),
+        where
+        gamma[k] = alpha[k] * beta[0]**k
+        - sum(beta[j] * gamma[k-j] * beta[0]**(j-1), 1 <= j <= k).
+        """
+        alpha, beta = self._numerators, rhs._numerators
+        beta0 = beta[0]
+        if not beta0:
             raise ZeroConstantTermError("division needs a nonzero constant term")
         order = min(self.order, rhs.order)
-        out: list[Fraction] = []
-        for n in range(order + 1):
-            acc = self._coeffs[n]
-            for k in range(1, n + 1):
-                if rhs._coeffs[k]:
-                    acc -= rhs._coeffs[k] * out[n - k]
-            out.append(acc / rhs._coeffs[0])
-        return TruncatedSeries(out)
+        # beta[j] * beta0**(j-1) for the terms that are not zero
+        weights = [(j, beta[j] * beta0 ** (j - 1)) for j in range(1, order + 1) if beta[j]]
+        gamma: list[int] = []
+        power = 1  # beta0**k
+        for k in range(order + 1):
+            acc = alpha[k] * power
+            for j, weight in weights:
+                if j > k:
+                    break
+                acc -= weight * gamma[k - j]
+            gamma.append(acc)
+            power *= beta0
+        # over the one denominator e * beta0**(order+1)
+        scale = rhs._denominator
+        for k in range(order, -1, -1):
+            gamma[k] *= scale
+            scale *= beta0
+        return TruncatedSeries._reduced(gamma, self._denominator * power)
 
 
 class Polynomial:

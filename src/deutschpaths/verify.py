@@ -9,7 +9,9 @@ regression anywhere in the package shows up as a named failure here.
 A check is its PASS name and the failures it finds, each a FAIL name
 (``None`` for the check's own name) and a detail; the first failure
 names the result.  The fixed checks are generators, so a check stops
-at its first failure, and ``run_checks`` reads every check in one loop.
+at its first failure, and ``timed_checks`` reads every check in one
+loop and times each read: a check runs when it is read, so that time
+is the check's own.  ``run_checks`` returns the same results.
 
 ``max_length`` bounds the brute-force enumerations.  Each enumeration
 route is walked once per length, and that one census feeds every check
@@ -21,6 +23,7 @@ tiling length 20).
 from __future__ import annotations
 
 import random
+import time
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -28,7 +31,7 @@ from fractions import Fraction
 
 from . import numbers, paths, series, trees
 
-__all__ = ["CheckResult", "run_checks"]
+__all__ = ["CheckResult", "run_checks", "timed_checks"]
 
 SERIES_ORDER = 64
 SEQUENCE_LIMIT = 64
@@ -42,6 +45,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)
 
 
 # (FAIL name, or None for the check's own name; detail)
@@ -50,10 +54,14 @@ _Failures = Iterable[_Failure]
 
 
 def _report(name: str, failures: _Failures) -> CheckResult:
-    """The first of ``failures`` as a FAIL, or else the PASS of ``name``."""
+    """The first of ``failures`` as a FAIL, or else the PASS of ``name``.
+
+    The result carries the seconds that reading ``failures`` took.
+    """
+    start = time.perf_counter()
     for fail_name, detail in failures:
-        return CheckResult(fail_name or name, False, detail)
-    return CheckResult(name, True)
+        return CheckResult(fail_name or name, False, detail, time.perf_counter() - start)
+    return CheckResult(name, True, "", time.perf_counter() - start)
 
 
 def _listed(values: Sequence[Fraction]) -> str:
@@ -293,9 +301,20 @@ def _tiling_failures() -> _Failures:
 
 def run_checks(max_length: int = 12) -> list[CheckResult]:
     """Run every cross check; brute enumerations stop at ``max_length``."""
+    return timed_checks(max_length)[1]
+
+
+def timed_checks(max_length: int = 12) -> tuple[float, list[CheckResult]]:
+    """The seconds the census walk takes, and every cross check's result.
+
+    Each result carries the seconds its check took.  Brute
+    enumerations stop at ``max_length``.
+    """
     if max_length < 0:
         raise ValueError("max length must be >= 0")
+    start = time.perf_counter()
     census = _take_census(max_length)
+    census_seconds = time.perf_counter() - start
     failed = census.failures
     within = f"(n <= {max_length})"
     checks = [
@@ -378,4 +397,4 @@ def run_checks(max_length: int = 12) -> list[CheckResult]:
             _tiling_failures(),
         ),
     ]
-    return [_report(name, failures) for name, failures in checks]
+    return census_seconds, [_report(name, failures) for name, failures in checks]

@@ -23,7 +23,7 @@ SILVER_CONJUGATE NonIntegerResultError DoesNotStartWithDominoError Piece
 Tiling fibonacci pell half_companion_pell binet_pell binet_half_companion
 count_nondecreasing_closed count_nondecreasing_quadratic count_mountains
 enumerate_tilings count_tilings count_square_first_tilings
-delete_leading_domino render_tiling CheckResult run_checks
+delete_leading_domino render_tiling CheckResult run_checks timed_checks
 """.split()
 
 # Names that are gone from the package and from every module: one-line

@@ -23,6 +23,7 @@ from deutschpaths import (
     format_coefficients,
     gf_coefficients,
     named_form,
+    series,
     star_identity_holds,
 )
 
@@ -93,6 +94,99 @@ class TestTruncatedSeries:
             ys[0] = Fraction(1)
         a, b = _series(xs), _series(ys)
         assert (a / b) * b == a
+
+
+# The Fraction arithmetic the series engine used to run, kept here as
+# an oracle for its integer arithmetic.
+def _fraction_product(xs, ys):
+    order = min(len(xs), len(ys)) - 1
+    return [
+        sum((Fraction(xs[i]) * ys[n - i] for i in range(n + 1)), Fraction(0))
+        for n in range(order + 1)
+    ]
+
+
+def _fraction_quotient(xs, ys):
+    order = min(len(xs), len(ys)) - 1
+    out = []
+    for n in range(order + 1):
+        acc = Fraction(xs[n])
+        for k in range(1, n + 1):
+            acc -= ys[k] * out[n - k]
+        out.append(acc / ys[0])
+    return out
+
+
+entries = st.one_of(
+    st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+)
+# negative and fractional constant terms give a negative or fractional
+# leading numerator to divide by
+constant_terms = entries.filter(bool)
+
+
+class TestIntegerArithmetic:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(entries, min_size=1, max_size=10),
+        constant_terms,
+        st.lists(entries, max_size=9),
+    )
+    def test_matches_the_fraction_oracle(self, xs, y0, y_tail):
+        ys = [y0, *y_tail]
+        a, b = _series(xs), _series(ys)
+        expected = {
+            "+": [Fraction(x) + y for x, y in zip(xs, ys)],
+            "-": [Fraction(x) - y for x, y in zip(xs, ys)],
+            "*": _fraction_product(xs, ys),
+            "/": _fraction_quotient(xs, ys),
+            "neg": [-Fraction(x) for x in xs],
+        }
+        results = {"+": a + b, "-": a - b, "*": a * b, "/": a / b, "neg": -a}
+        for op, result in results.items():
+            assert result.coefficients == tuple(expected[op]), op
+            assert all(type(c) is Fraction for c in result.coefficients), op
+            # the same value built from its coefficients has the same form
+            rebuilt = _series(expected[op])
+            assert result == rebuilt, op
+            assert hash(result) == hash(rebuilt) == hash(tuple(expected[op])), op
+
+    @pytest.mark.parametrize(
+        "built, computed",
+        [
+            (_series([Fraction(2, 4)], 3), _series([1], 3) / _series([2], 3)),
+            # a negative constant term to an odd power: the scaled
+            # denominator comes out negative before the sign is fixed
+            (_series([Fraction(2, 4)], 2), _series([-3], 2) / _series([-6], 2)),
+            (_series([Fraction(-1, 3), 1], 2), _series([1, -3], 2) / _series([-3], 2)),
+            (_series([2, 4]), _series([Fraction(1, 3), Fraction(2, 3)]) * 6),
+            (_series([0], 2), _series([Fraction(1, 2), 7, 1]) - _series([Fraction(1, 2), 7, 1])),
+        ],
+    )
+    def test_equal_values_built_two_ways(self, built, computed):
+        assert built == computed
+        assert hash(built) == hash(computed) == hash(tuple(built.coefficients))
+        assert repr(built) == repr(computed)
+        for s in (built, computed):
+            assert all(type(c) is Fraction for c in s.coefficients)
+            assert all(type(s[n]) is Fraction for n in range(s.order + 1))
+
+    def test_product_and_quotient_build_no_fraction(self, monkeypatch):
+        a = _series([Fraction(k - 7, k % 5 + 1) for k in range(33)])
+        b = _series([1] + [Fraction(k % 7 - 3, k % 4 + 2) for k in range(1, 33)])
+        built = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(series, "Fraction", CountingFraction)
+        assert (a * b).order == (a / b).order == 32
+        assert built == []
+        # the swap is seen: reading a coefficient out builds one
+        assert a[1] == Fraction(-6, 2)
+        assert len(built) == 1
 
 
 class TestRationalGF:

@@ -6,8 +6,9 @@ input.  The full result list of ``verify --max 6`` is then pinned: the
 targeted check must fail with the same name and detail as before, so no
 check can go vacuous unnoticed.  A case keyed ``check.variant`` reaches
 another FAIL name of the same check.  Further tests count the calls of
-the four enumeration routes, one walk each per length, and pin that a
-check stops at its first failure.
+the four enumeration routes, one walk each per length, pin that a
+check stops at its first failure, and pin the records of
+``verify --json``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
+import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -536,3 +539,49 @@ def test_mountain_series_reads_the_whole_census(wrong):
     for k in wrong:
         census[k] += 1
     assert list(verify._mountain_series_failures(14, census)) == [(None, "")]
+
+
+def verify_json() -> tuple[int, list[dict]]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--max", str(MAX_LENGTH), "--json"])
+    return code, [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def test_json_gives_the_census_then_one_record_per_check():
+    code, records = verify_json()
+    assert code == 0
+    assert len(records) == 1 + len(PASSING) == 22
+    for record in records:
+        assert list(record) == ["name", "passed", "detail", "seconds"]
+        assert type(record["seconds"]) is float and record["seconds"] >= 0
+    census, *checks = records
+    assert census["name"] == (
+        "census: each enumeration route walked once per length (n <= 6)"
+    )
+    assert (census["passed"], census["detail"]) == (None, "")
+    assert [(r["name"], r["passed"], r["detail"]) for r in checks] == [
+        (name, True, "") for name in PASSING.values()
+    ]
+
+
+def test_json_exit_code_follows_the_checks(monkeypatch):
+    fake = false_on_call(4)(series.star_identity_holds)
+    monkeypatch.setattr(series, "star_identity_holds", fake)
+    code, records = verify_json()
+    assert code == 1
+    failed = [(r["name"], r["detail"]) for r in records if r["passed"] is False]
+    assert failed == [FAULTS["star"][3]["star"]]
+
+
+def test_json_times_each_check_where_it_runs(monkeypatch):
+    def slow_star():
+        time.sleep(0.2)
+        yield from ()
+
+    monkeypatch.setattr(verify, "_star_identity_failures", slow_star)
+    _, records = verify_json()
+    seconds = {r["name"]: r["seconds"] for r in records}
+    star = seconds.pop(PASSING["star"])
+    assert star >= 0.2
+    assert max(seconds.values()) < star
