@@ -6,12 +6,17 @@ out.  No length is refused: the enumerating routes take time that grows
 with the number of paths.  All output is deterministic byte for byte
 given identical flags, save the measured seconds of ``verify --json``;
 JSON output is line oriented where a command prints several records.
+
+``main`` may be called many times in one process.  It builds its parser
+once, on the first call; each call parses into a fresh namespace, so no
+flag of one call reaches the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -135,6 +140,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deutschpaths",

@@ -110,10 +110,6 @@ def _rise(step: Step) -> int:
     return 1 if isinstance(step, Up) else -step.size
 
 
-def _token(step: Step) -> str:
-    return "U" if isinstance(step, Up) else f"D{step.size}"
-
-
 @dataclass(frozen=True, slots=True)
 class DeutschPath:
     """Immutable step sequence, not necessarily validated."""
@@ -158,14 +154,19 @@ def parse_path(text: str) -> DeutschPath:
     return DeutschPath(tuple(_parse_token(t) for t in text.split()))
 
 
+def _tokens(path: DeutschPath) -> list[str]:
+    # one comprehension, no call per step: listing renders every step
+    return ["U" if isinstance(s, Up) else f"D{s.size}" for s in path.steps]
+
+
 def render_path(path: DeutschPath) -> str:
     """Render a path as single-space separated tokens."""
-    return " ".join(_token(s) for s in path.steps)
+    return " ".join(_tokens(path))
 
 
 def path_to_json(path: DeutschPath) -> str:
     """Serialise a path as ``{"steps": ["U", "D1", ...]}``."""
-    record = {"steps": [_token(s) for s in path.steps]}
+    record = {"steps": _tokens(path)}
     return json.dumps(record, separators=(",", ":"))
 
 

@@ -12,7 +12,11 @@ any interpreter can replay the corpus::
 
     PYTHONPATH=src python3 tests/replay_golden.py
 
-It names each case whose output differs and exits 1 if there is one.
+It replays the table twice in one interpreter, the second time in
+reverse order, so that state one call leaves behind for the next (the
+CLI builds its parser once per process) shows as a mismatch.  It names
+each case whose output differs, with its pass, and exits 1 if there is
+one.
 """
 
 from __future__ import annotations
@@ -60,13 +64,17 @@ def run_main(argv: list[str]) -> tuple[int, str]:
 
 
 def main() -> int:
-    failed = []
-    for name in sorted(CASES):
-        code, out = run_main(CASES[name])
-        if code != 0 or out != (GOLDEN / name).read_text():
-            failed.append(name)
-            print(f"MISMATCH {name}")
-    print(f"{len(CASES) - len(failed)}/{len(CASES)} golden cases match")
+    failed = 0
+    for label, names in (("first", sorted(CASES)), ("reversed", sorted(CASES, reverse=True))):
+        matched = 0
+        for name in names:
+            code, out = run_main(CASES[name])
+            if code == 0 and out == (GOLDEN / name).read_text():
+                matched += 1
+            else:
+                print(f"MISMATCH {name} ({label} pass)")
+        print(f"{matched}/{len(CASES)} golden cases match ({label} pass)")
+        failed += len(CASES) - matched
     return 1 if failed else 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import errno
 import io
@@ -9,6 +10,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -415,3 +417,65 @@ def test_output_is_deterministic():
     second = run_cli("table", "--max", "8", "--json")
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
+
+
+class TestRepeatedCalls:
+    """``main`` called again in one process: no state of one call reaches the next."""
+
+    def test_the_parser_is_built_at_most_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "deutschpaths":  # the top parser, not a subcommand's
+                built.append(self)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        calls = [["count", "--length", "5"], ["list", "--length", "2"], ["mountains", "--steps", "3"]]
+        for argv in calls:
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "6\nU D1\n1\n"
+        assert len(built) <= 1
+
+    def test_a_flag_does_not_carry_over(self, capsys):
+        assert cli.main(["list", "--length", "5", "--json"]) == 0
+        assert capsys.readouterr().out.startswith('{"steps":["U","U","U","U","D4"]}\n')
+        assert cli.main(["list", "--length", "5"]) == 0
+        assert capsys.readouterr().out == (Path(__file__).parent / "golden/list-5.txt").read_text()
+
+    def test_a_method_does_not_carry_over(self, monkeypatch, capsys):
+        routes = []
+        closed, form = numbers.count_nondecreasing_closed, series.named_form
+        monkeypatch.setattr(
+            numbers, "count_nondecreasing_closed", lambda n: routes.append("closed") or closed(n)
+        )
+        monkeypatch.setattr(
+            series, "named_form", lambda name: routes.append("series") or form(name)
+        )
+        assert cli.main(["count", "--length", "9", "--method", "series"]) == 0
+        assert cli.main(["count", "--length", "9"]) == 0
+        assert capsys.readouterr().out == "204\n204\n"
+        assert routes == ["series", "closed"]
+
+    def test_a_usage_error_repeats_exactly(self, capsys):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["count"])
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].endswith("error: the following arguments are required: --length\n")
+
+    def test_help_repeats_exactly(self, capsys):
+        helps = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["list", "--help"])
+            assert exit_info.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        assert helps[0].startswith("usage: deutschpaths list [-h] --length N [--json]\n")
