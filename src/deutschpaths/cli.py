@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 from fractions import Fraction
 
@@ -62,7 +61,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             # an integral coefficient as a JSON number, any other as its str
             series_value = s.numerator if s.denominator == 1 else str(s)
             record = {"n": n, "closed": c, "series": series_value, "brute": b, "agree": agree}
-            print(json.dumps(record, separators=(",", ":")))
+            print(paths._RECORD_ENCODER.encode(record))
     else:
         print("n\tclosed\tseries\tbrute\tagree")
         for n, c, s, b, agree in rows:
@@ -125,7 +124,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         records += [dataclasses.asdict(result) for result in results]
         for record in records:
             record["seconds"] = round(record["seconds"], 6)
-            print(json.dumps(record, separators=(",", ":")))
+            print(paths._RECORD_ENCODER.encode(record))
         return 0 if all(result.passed for result in results) else 1
     results = verify.run_checks(args.max)
     failures = 0

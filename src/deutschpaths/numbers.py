@@ -153,6 +153,14 @@ def _coordinate(value: Fraction | int) -> Fraction | int:
     return value.numerator if value.denominator == 1 else value
 
 
+def _quotient(value: Fraction | int, divisor: Fraction | int) -> Fraction | int:
+    """value / divisor, exactly: an ``int`` when both are and it divides, else a Fraction."""
+    if type(value) is type(divisor) is int and not value % divisor:
+        return value // divisor
+    # Fraction, not `/`: int / int would round to a float
+    return Fraction(value, divisor)
+
+
 @dataclass(frozen=True, slots=True)
 class QuadraticNumber(_DerivedOperators):
     """Exact element a + b*sqrt(2) with rational a and b.
@@ -207,20 +215,25 @@ class QuadraticNumber(_DerivedOperators):
         if not n:
             raise ZeroDivisionError("division by a number of norm zero")
         flipped = self * rhs.conjugate()
-        # Fraction, not `/`: int / int would round to a float
-        return QuadraticNumber(Fraction(flipped.a, n), Fraction(flipped.b, n))
+        return QuadraticNumber(_quotient(flipped.a, n), _quotient(flipped.b, n))
 
     def __pow__(self, exponent: int) -> QuadraticNumber:
+        """Power by squaring, from the top bit of the exponent down.
+
+        Each bit after the top one squares the running power, and each
+        set bit then multiplies it by ``self``: bit_length - 1 squarings
+        and popcount - 1 products, every one through ``*``.  A set bit
+        thus multiplies by the base, never by a second large power.
+        """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = QuadraticNumber(1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
+        if not exponent:
+            return QuadraticNumber(1)
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def as_integer(self) -> int:
@@ -255,20 +268,21 @@ def count_nondecreasing_quadratic(n: int) -> int:
     """Closed count evaluated literally in the sqrt(2) ring.
 
     (1 + (-1)**n)/4 + (s**n + t**n)/4 - (s**n - t**n)/(4 sqrt(2)) for
-    the silver ratio s and its conjugate t.  Must come out a
-    nonnegative integer; anything else raises
-    :class:`NonIntegerResultError`.
+    the silver ratio s and its conjugate t.  Both powers are raised in
+    the ring, and four times the sum is formed there: s**n - t**n has no
+    rational part, so its quotient by sqrt(2) has ``int`` coordinates
+    and no coordinate becomes a ``Fraction``.  One ``divmod`` by 4 ends
+    it.  The result must be a nonnegative integer; a sqrt(2) part, a
+    remainder or a negative value raises :class:`NonIntegerResultError`.
     """
     if n < 0:
         raise ValueError("defined for n >= 0 only")
     s_pow = SILVER_RATIO**n
     t_pow = SILVER_CONJUGATE**n
-    value = (
-        QuadraticNumber(Fraction(1 + (-1) ** n, 4))
-        + (s_pow + t_pow) * Fraction(1, 4)
-        - (s_pow - t_pow) / (4 * SQRT2)
-    )
-    result = value.as_integer()
+    four_times = QuadraticNumber(1 + (-1) ** n) + (s_pow + t_pow) - (s_pow - t_pow) / SQRT2
+    result, remainder = divmod(four_times.as_integer(), 4)
+    if remainder:
+        raise NonIntegerResultError(f"4 times the count for n={n} is not divisible by 4")
     if result < 0:
         raise NonIntegerResultError(f"count for n={n} came out negative")
     return result

@@ -164,10 +164,14 @@ def render_path(path: DeutschPath) -> str:
     return " ".join(_tokens(path))
 
 
+# The one encoder of every record writer in the package: json.dumps with
+# separators other than its default builds a new JSONEncoder per call.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def path_to_json(path: DeutschPath) -> str:
     """Serialise a path as ``{"steps": ["U", "D1", ...]}``."""
-    record = {"steps": _tokens(path)}
-    return json.dumps(record, separators=(",", ":"))
+    return _RECORD_ENCODER.encode({"steps": _tokens(path)})
 
 
 def path_from_json(text: str) -> DeutschPath:

@@ -25,12 +25,12 @@ coefficient.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .numbers import _DerivedOperators, _lifted
+from .paths import _RECORD_ENCODER
 
 __all__ = [
     "ZeroConstantTermError",
@@ -317,17 +317,23 @@ class RationalGF(_DerivedOperators):
 
         With Q(z)Q(-z) = V(z**2) and P(z)Q(-z) = U0(z**2) + z*U1(z**2),
         coefficient n of P/Q is coefficient n // 2 of U_r / V for
-        r = n mod 2.
+        r = n mod 2.  The last halving, at n = 1, reads only the constant
+        terms of U1 and V: term 1 of P(z)Q(-z), p[1]*q[0] - p[0]*q[1],
+        and term 0 of Q(z)Q(-z), q[0]**2, so neither product is formed.
         """
         if n < 0:
             raise ValueError("order must be >= 0")
         p, q = self.numerator, self.denominator
-        while n:
+        while n > 1:
             q_minus = [-c if i % 2 else c for i, c in enumerate(q)]
             p = _product_terms(p, q_minus, n % 2)
             q = _product_terms(q, q_minus, 0)
             n //= 2
-        return Fraction(p[0] if p else 0, q[0])
+        p0, p1 = (*p, 0, 0)[:2]
+        if n:
+            q1 = q[1] if len(q) > 1 else 0
+            return Fraction(p1 * q[0] - p0 * q1, q[0] * q[0])
+        return Fraction(p0, q[0])
 
 
 def _trimmed(coeffs: list[int]) -> tuple[int, ...]:
@@ -456,4 +462,4 @@ def format_coefficients(values: Sequence[Fraction]) -> str:
 def coefficients_to_json(form: str, values: Sequence[Fraction]) -> str:
     """JSON record ``{"form": ..., "coeffs": ["1", "0", ...]}``."""
     record = {"form": form, "coeffs": [str(v) for v in values]}
-    return json.dumps(record, separators=(",", ":"))
+    return _RECORD_ENCODER.encode(record)

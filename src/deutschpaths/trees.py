@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .paths import Decomposition, DeutschPath, Mountain, compose, decompose
+from .paths import _RECORD_ENCODER, Decomposition, DeutschPath, Mountain, compose, decompose
 
 __all__ = [
     "EdgeMark",
@@ -206,7 +206,7 @@ def tree_to_json(tree: MarkedTree) -> str:
         "backbone": [m.value for m in tree.backbone],
         "bundles": [[[m.value for m in h] for h in bundle] for bundle in tree.bundles],
     }
-    return json.dumps(record, separators=(",", ":"))
+    return _RECORD_ENCODER.encode(record)
 
 
 def _marks_from_record(raw: object, where: str) -> tuple[EdgeMark, ...]:

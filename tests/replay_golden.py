@@ -36,6 +36,11 @@ CASES = {
         for form in FORM_NAMES
     },
     "count-2000-series.txt": ["count", "--length", "2000", "--method", "series"],
+    # the benchmark's largest count, about 4,200 digits, by both routes,
+    # and the series route's last halving alone
+    "count-11000.txt": ["count", "--length", "11000"],
+    "count-11000-series.txt": ["count", "--length", "11000", "--method", "series"],
+    "count-1-series.txt": ["count", "--length", "1", "--method", "series"],
     "table-60.jsonl": ["table", "--max", "60", "--json"],
     "list-10.txt": ["list", "--length", "10"],
     "list-10.jsonl": ["list", "--length", "10", "--json"],

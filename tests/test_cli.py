@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from deutschpaths import cli, fibonacci, numbers, series
+from deutschpaths import cli, fibonacci, numbers, paths, series, trees
 
 
 def run_cli(*args, timeout=None):
@@ -90,6 +90,21 @@ def test_a_ring_disagreement_ends_count(ring_off_by_one_at_seven, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: closed form routes disagree at n=7\n"
+
+
+def test_a_pell_fault_at_benchmark_size_ends_count(monkeypatch, capsys):
+    # n = 11,000 is the benchmark's largest count, about 4,200 digits
+    pair = numbers._silver_pair
+
+    def pell_off_by_one_at_11000(n):
+        half_companion, pell_n = pair(n)
+        return half_companion, pell_n + (n == 11000)
+
+    monkeypatch.setattr(numbers, "_silver_pair", pell_off_by_one_at_11000)
+    assert cli.main(["count", "--length", "11000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: closed form routes disagree at n=11000\n"
 
 
 def test_table_checks_every_row_in_the_ring(monkeypatch, capsys):
@@ -410,6 +425,36 @@ def test_closed_pipe_ends_the_process_quietly(length):
     _, stderr = proc.communicate(timeout=60)
     assert proc.returncode == 141
     assert stderr == b""
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """(record, text) for each record the package's one JSON encoder writes."""
+    seen = []
+    encode = paths._RECORD_ENCODER.encode
+
+    def spy(record):
+        seen.append((record, encode(record)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(paths._RECORD_ENCODER, "encode", spy)
+    return seen
+
+
+def test_each_record_writer_matches_json_dumps(encoded, capsys):
+    huge = 10**4000 + 1  # inside the default int-to-str limit of 4,300 digits
+    written = [
+        paths.path_to_json(paths.parse_path("U " * 40 + "D40 U D1")),
+        trees.tree_to_json(trees.path_to_tree(paths.parse_path("U U D2 U D1"))),
+        series.coefficients_to_json("x", [Fraction(huge, 3), -huge, Fraction(-1, 2), 0]),
+    ]
+    assert cli.main(["table", "--max", "250", "--json"]) == 0
+    assert cli.main(["verify", "--max", "0", "--json"]) == 0
+    written += capsys.readouterr().out.splitlines()
+    assert len(written) == len(encoded) > 3 + 251
+    for text, (record, encoded_text) in zip(written, encoded):
+        assert text == encoded_text == json.dumps(record, separators=(",", ":"))
+    assert f'"{huge}/3","-{huge}","-1/2","0"' in written[2]
 
 
 def test_output_is_deterministic():

@@ -86,9 +86,28 @@ class TestQuadraticNumber:
 
         monkeypatch.setattr(QuadraticNumber, "__mul__", counted)
         power = SILVER_RATIO ** 100
-        # one product per set bit and one squaring per bit after the lowest
-        assert products == bin(100).count("1") + (100).bit_length() - 1 == 9
+        # from the top bit down: one squaring per bit after the top one and
+        # one product by the base per set bit after it
+        assert products == (100).bit_length() - 1 + bin(100).count("1") - 1 == 8
         assert power == QuadraticNumber(half_companion_pell(100), pell(100))
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            SILVER_CONJUGATE,
+            QuadraticNumber(-3, 2),
+            QuadraticNumber(Fraction(1, 2), Fraction(-2, 3)),
+            QuadraticNumber(Fraction(5, 4), 1),
+        ],
+        ids=repr,
+    )
+    def test_power_is_the_repeated_product(self, base):
+        product = QuadraticNumber(1)
+        for exponent in range(71):
+            power = base**exponent
+            assert power == product, exponent
+            assert repr(power) == repr(product), exponent
+            product = product * base
 
     def test_division(self):
         one = QuadraticNumber(1, 0)
@@ -210,6 +229,14 @@ class TestClosedCounts:
         assert count_nondecreasing_closed(6) == 15
         with pytest.raises(NonIntegerResultError, match="closed form routes disagree at n=7"):
             count_nondecreasing_closed(7)
+
+    def test_a_ring_sum_off_by_two_raises(self, monkeypatch):
+        # both powers one too high in the rational part: four times the
+        # sum is 2 mod 4, with no sqrt(2) part
+        power = QuadraticNumber.__pow__
+        monkeypatch.setattr(QuadraticNumber, "__pow__", lambda x, e: power(x, e) + 1)
+        with pytest.raises(NonIntegerResultError, match="n=9 is not divisible by 4"):
+            count_nondecreasing_quadratic(9)
 
 
 class TestMountainCounts:

@@ -260,6 +260,29 @@ class TestRationalGF:
         assert type(value) is Fraction
         assert value == gf.coefficients(n)[n]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9), max_size=6),
+        st.integers(-9, 9).filter(bool),
+        st.lists(st.integers(-9, 9), max_size=5),
+        st.integers(0, 70),
+    )
+    def test_single_coefficient_on_integer_polynomials(self, num, q0, den_tail, n):
+        gf = RationalGF(num, [q0] + den_tail)
+        assert gf.coefficient(n) == gf.coefficients(n)[n]
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [([3, -1, 4], [5]), ([7], [-2]), ([], [3]), ([], [2, 1]), ([0, 0, 0], [1, -1, 4])],
+        ids=["constant-denominator", "constant", "zero", "zero-numerator", "zero-terms"],
+    )
+    def test_single_coefficient_of_degenerate_shapes(self, num, den):
+        # a constant denominator and a zero numerator, whose products are
+        # shorter than the last halving reads
+        gf = RationalGF(num, den)
+        expansion = gf.coefficients(70)
+        assert [gf.coefficient(n) for n in range(71)] == list(expansion)
+
     def test_operators_coerce_scalars(self):
         z = RationalGF([0, 1], [1])
         assert (1 / (1 - z - z * z)).coefficients(5) == (1, 1, 2, 3, 5, 8)
@@ -508,8 +531,12 @@ class TestNamedForms:
     @pytest.mark.parametrize("name", FORM_NAMES)
     def test_single_coefficients_match_the_expansion(self, name):
         form = named_form(name)
-        expansion = form.coefficients(300)
-        assert [form.coefficient(n) for n in range(301)] == list(expansion)
+        expansion = form.coefficients(4097)
+        assert [form.coefficient(n) for n in range(301)] == list(expansion[:301])
+        # where the halvings of n end on each side of the last one
+        # (partial-fractions has q0 = 32, so its q0**2 is not 1)
+        for n in {2**k + step for k in range(13) for step in (-1, 0, 1)}:
+            assert form.coefficient(n) == expansion[n], n
 
     def test_order_zero(self):
         for name in FORM_NAMES:
