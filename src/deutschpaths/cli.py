@@ -38,7 +38,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
         return _print_count(series.named_form("with-empty").coefficient(n))
     if args.method == "brute":
         return _print_count(sum(1 for _ in paths.enumerate_nondecreasing_filter(n)))
-    return _print_count(sum(1 for _ in paths.enumerate_nondecreasing_direct(n)))
+    # a count needs no canonical order, so the composed paths go unsorted
+    return _print_count(sum(1 for _ in map(paths.compose, paths.iter_decompositions(n))))
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

@@ -237,9 +237,12 @@ class QuadraticNumber(_DerivedOperators):
         return result
 
     def as_integer(self) -> int:
-        """The value as a plain integer, or :class:`NonIntegerResultError`."""
-        if self.b or self.a.denominator != 1:
-            raise NonIntegerResultError(f"{self} is not a rational integer")
+        """The value as a plain integer, or :class:`NonIntegerResultError`
+        naming the fault; the value may be too long to print."""
+        if self.b:
+            raise NonIntegerResultError("value has a sqrt(2) part")
+        if self.a.denominator != 1:
+            raise NonIntegerResultError("value is a fraction, not an integer")
         return self.a.numerator
 
 

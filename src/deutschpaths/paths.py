@@ -116,9 +116,6 @@ class DeutschPath:
 
     steps: tuple[Step, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def sort_key(self) -> tuple[int, ...]:
         """Key realising the canonical order: U < D1 < D2 < ... is falling rise."""
         return tuple(-_rise(s) for s in self.steps)
@@ -261,10 +258,6 @@ class Mountain:
         if sum(self.descent) != self.ups:
             raise ValueError("descent must sum to the rise")
 
-    @property
-    def length(self) -> int:
-        return self.ups + len(self.descent)
-
 
 def as_mountain(path: DeutschPath) -> Mountain | None:
     """Return the mountain a validated path traces, or None.
@@ -304,11 +297,6 @@ class Decomposition:
                 raise ValueError("the empty decomposition has no home run")
         elif not self.homerun or any(d < 1 for d in self.homerun) or sum(self.homerun) != self.height:
             raise ValueError("home run must be a composition of the height")
-
-    @property
-    def length(self) -> int:
-        mountain_steps = sum(m.length for bundle in self.bundles for m in bundle)
-        return mountain_steps + self.height + len(self.homerun)
 
 
 def decompose(path: DeutschPath) -> Decomposition:

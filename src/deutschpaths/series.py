@@ -108,11 +108,6 @@ class TruncatedSeries(_DerivedOperators):
     def constant(cls, value: Coeff, order: int) -> TruncatedSeries:
         return cls([value], order)
 
-    @classmethod
-    def variable(cls, order: int) -> TruncatedSeries:
-        """The series z."""
-        return cls([0, 1], order)
-
     @property
     def order(self) -> int:
         return len(self._numerators) - 1

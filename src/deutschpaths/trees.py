@@ -60,10 +60,6 @@ class EdgeMark(Enum):
     SINGLE = "s"
     DOUBLE = "d"
 
-    @property
-    def weight(self) -> int:
-        return 1 if self is EdgeMark.SINGLE else 2
-
 
 @dataclass(frozen=True, slots=True)
 class MarkedTree:

@@ -13,11 +13,11 @@ at its first failure, and ``timed_checks`` reads every check in one
 loop and times each read: a check runs when it is read, so that time
 is the check's own.  ``run_checks`` returns the same results.
 
-``max_length`` bounds the brute-force enumerations.  Each enumeration
-route is walked once per length, and that one census feeds every check
-built on enumeration.  Everything not tied to enumeration uses the fixed
-orders the package commits to (series order 64, sequence index 64,
-tiling length 20).
+``max_length`` bounds the brute-force enumerations.  One census walks
+``paths.enumerate_deutsch`` and ``paths.iter_decompositions`` once each
+per length, and every check built on enumeration reads from those two
+walks.  Everything not tied to enumeration uses the fixed orders the
+package commits to (series order 64, sequence index 64, tiling length 20).
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ def _listed(values: Sequence[Fraction]) -> str:
 class _Census:
     """What one walk of each enumeration route per length leaves behind.
 
+    A path that ``heights`` flags is counted and goes no further.
     ``failures`` keeps each check's first failure, as a one-item list of
     its FAIL name and detail, in (length, canonical path) order; a check
     with none reads an empty list.
@@ -96,11 +97,15 @@ def _take_census(max_length: int) -> _Census:
     bad_paths = 0
     for n in range(max_length + 1):
         mountains = 0
+        via_filter = []
         for p in paths.enumerate_deutsch(n):
             hs = paths.heights(p)
             if any(h < 0 for h in hs) or (hs and hs[-1] != 0):
                 bad_paths += 1
+                continue
             mountains += paths.as_mountain(p) is not None
+            if paths.is_nondecreasing(p):
+                via_filter.append(p)
         census.mountains.append(mountains)
         if mountains != numbers.count_mountains(n) or mountains != (
             numbers.fibonacci(n - 1) if n >= 2 else 0
@@ -110,23 +115,26 @@ def _take_census(max_length: int) -> _Census:
                 "paths: mountain census matches the binomial count and F(k-1)",
                 f"k={n}: census {mountains}",
             )
-
-        via_filter = list(paths.enumerate_nondecreasing_filter(n))
         census.brute.append(len(via_filter))
-        if via_filter != list(paths.enumerate_nondecreasing_direct(n)):
-            census.fail(
-                "direct",
-                "paths: filtered and structural enumerations agree, in order",
-                f"streams differ at length {n}",
-            )
+
+        via_direct = []
         for dec in paths.iter_decompositions(n):
-            if paths.decompose(paths.compose(dec)) != dec:
+            p = paths.compose(dec)
+            if paths.decompose(p) != dec:
                 census.fail(
                     "decompositions",
                     "paths: decompose inverts compose",
                     f"failed at length {n} on {dec!r}",
                 )
-                break
+            via_direct.append(p)
+        via_direct.sort(key=paths.DeutschPath.sort_key)
+        if via_filter != via_direct:
+            census.fail(
+                "direct",
+                "paths: filtered and structural enumerations agree, in order",
+                f"streams differ at length {n}",
+            )
+        del via_direct  # not held while the trees below are built
 
         encoded = set()
         unit_down = 0

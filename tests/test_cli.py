@@ -39,6 +39,27 @@ def test_count_methods_agree(method):
     assert result.stdout == "204\n"
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux VmHWM")
+def test_direct_count_holds_no_list_of_paths():
+    # counting needs no canonical order; sorted first, the 97,513 paths
+    # of length 16 were all held at once and the peak passed 50 MB.  The
+    # child reads its peak as VmHWM: on Linux its ru_maxrss would carry
+    # this process's peak across the exec.
+    code = (
+        "from deutschpaths import cli\n"
+        "code = cli.main(['count', '--method', 'direct', '--length', '16'])\n"
+        "status = dict(line.split(':', 1) for line in open('/proc/self/status'))\n"
+        "print(code, status['VmHWM'].split()[0])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    count, code, peak_kib = result.stdout.split()
+    assert (count, code) == ("97513", "0")
+    assert int(peak_kib) < 30 * 1024
+
+
 def test_count_large_closed():
     closed = run_cli("count", "--length", "90")
     series = run_cli("count", "--length", "90", "--method", "series")

@@ -3,7 +3,17 @@
 from __future__ import annotations
 
 import deutschpaths
-from deutschpaths import RationalGF, TruncatedSeries, numbers, paths, series
+from deutschpaths import (
+    Decomposition,
+    DeutschPath,
+    EdgeMark,
+    Mountain,
+    RationalGF,
+    TruncatedSeries,
+    numbers,
+    paths,
+    series,
+)
 
 EXPORTED = """
 __version__ DeutschPath Up Down UP Step Mountain Decomposition PathStats
@@ -38,6 +48,11 @@ statistics StatsSummary format_bfile DEFAULT_ORDER _fractions Polynomial _poly
 REMOVED_MEMBERS = [
     (TruncatedSeries, "truncate"),
     (RationalGF, "_integer_terms"),
+    (TruncatedSeries, "variable"),
+    (EdgeMark, "weight"),
+    (Mountain, "length"),
+    (Decomposition, "length"),
+    (DeutschPath, "__len__"),
 ]
 
 

@@ -180,6 +180,13 @@ class TestQuadraticNumber:
         with pytest.raises(NonIntegerResultError):
             SQRT2.as_integer()
 
+    def test_as_integer_names_the_fault_past_the_digit_limit(self, int_digit_limit):
+        big = 10**5000 + 1
+        with pytest.raises(NonIntegerResultError, match=r"^value has a sqrt\(2\) part$"):
+            QuadraticNumber(big, 1).as_integer()
+        with pytest.raises(NonIntegerResultError, match="^value is a fraction, not an integer$"):
+            QuadraticNumber(Fraction(big, 2)).as_integer()
+
     def test_int_coercion(self):
         assert QuadraticNumber(1, 1) * 2 == QuadraticNumber(2, 2)
         assert 1 + SQRT2 == SILVER_RATIO

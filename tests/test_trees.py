@@ -74,8 +74,9 @@ class TestMarkCodes:
         assert marks_to_composition(composition_to_marks(parts)) == parts
 
     def test_mark_weights(self):
-        assert S.weight == 1
-        assert D.weight == 2
+        # a tree's weight counts a single mark once and a double twice
+        for mark, weight in ((S, 1), (D, 2)):
+            assert tree_statistics(MarkedTree((mark,), ((),))).weight == weight
 
 
 class TestBijection:

@@ -1,14 +1,14 @@
 """Fault injection for the cross-check suite.
 
 Each case breaks one function that ``verify`` calls, through the module
-attribute ``verify`` uses, so that it answers wrongly on one small
-input.  The full result list of ``verify --max 6`` is then pinned: the
-targeted check must fail with the same name and detail as before, so no
-check can go vacuous unnoticed.  A case keyed ``check.variant`` reaches
-another FAIL name of the same check.  Further tests count the calls of
-the four enumeration routes, one walk each per length, pin that a
-check stops at its first failure, and pin the records of
-``verify --json``.
+or class attribute ``verify`` uses, so that it answers wrongly on one
+small input.  The full result list of ``verify --max 6`` is then pinned:
+the targeted check must fail with the same name and detail as before, so
+no check can go vacuous unnoticed.  A case keyed ``check.variant``
+reaches another FAIL name of the same check.  Further tests pin that the
+census walks ``enumerate_deutsch`` and ``iter_decompositions`` once each
+per length and calls neither stream wrapper, that a check stops at its
+first failure, and the records of ``verify --json``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -104,12 +105,6 @@ def last_quotient_coefficient_off(original):
     return fake
 
 
-def swap_two(stream):
-    items = list(stream)
-    items[3], items[4] = items[4], items[3]
-    return iter(items)
-
-
 def drop_third(stream):
     return (item for i, item in enumerate(stream) if i != 2)
 
@@ -126,8 +121,8 @@ SQUARE, DOMINO = numbers.Piece.SQUARE, numbers.Piece.DOMINO
 FAULTS = {
     "conservation": (
         paths,
-        "heights",
-        wrong_on(paths.parse_path("U D1 U D1"), lambda hs: (-1, *hs[1:])),
+        "enumerate_deutsch",
+        wrong_on(4, lambda stream: itertools.chain(stream, [paths.parse_path("U D1 D1 U")])),
         {
             "conservation": (
                 "paths: every enumerated path stays on or above ground and ends there (n <= 6)",
@@ -136,9 +131,9 @@ FAULTS = {
         },
     ),
     "filter-vs-direct": (
-        paths,
-        "enumerate_nondecreasing_direct",
-        wrong_on(6, swap_two),
+        paths.DeutschPath,
+        "sort_key",
+        wrong_on(paths.parse_path("U U U U U D5"), lambda key: (9,)),
         {
             "filter-vs-direct": (
                 "paths: filtered and structural enumerations agree, in order",
@@ -281,8 +276,8 @@ FAULTS = {
     ),
     "closed-count-routes": (
         paths,
-        "enumerate_nondecreasing_filter",
-        wrong_on(5, drop_third),
+        "is_nondecreasing",
+        wrong_on(paths.parse_path("U U U D2 D1"), lambda answer: False),
         {
             "filter-vs-direct": (
                 "paths: filtered and structural enumerations agree, in order",
@@ -519,16 +514,15 @@ def test_each_route_is_walked_once_per_length(monkeypatch):
 
         return wrapper
 
-    # the wrappers also see the walks the filter and direct routes make
     for name in calls:
         monkeypatch.setattr(paths, name, counted(name, getattr(paths, name)))
     assert all(r.passed for r in verify.run_checks(MAX_LENGTH))
     lengths = MAX_LENGTH + 1
     assert calls == {
-        "enumerate_deutsch": 2 * lengths,
-        "enumerate_nondecreasing_filter": lengths,
-        "enumerate_nondecreasing_direct": lengths,
-        "iter_decompositions": 2 * lengths,
+        "enumerate_deutsch": lengths,
+        "enumerate_nondecreasing_filter": 0,
+        "enumerate_nondecreasing_direct": 0,
+        "iter_decompositions": lengths,
     }
 
 
