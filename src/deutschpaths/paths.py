@@ -17,6 +17,7 @@ so the all-up prefix comes first.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from functools import cache
@@ -153,7 +154,7 @@ def parse_path(text: str) -> DeutschPath:
 
 def _tokens(path: DeutschPath) -> list[str]:
     # one comprehension, no call per step: listing renders every step
-    return ["U" if isinstance(s, Up) else f"D{s.size}" for s in path.steps]
+    return ["U" if s is UP or isinstance(s, Up) else f"D{s.size}" for s in path.steps]
 
 
 def render_path(path: DeutschPath) -> str:
@@ -216,15 +217,17 @@ def valley_levels(path: DeutschPath) -> tuple[int, ...]:
     levels = []
     height = 0
     fell = False  # the step before was a down-step
-    for position, step in enumerate(path.steps, start=1):
-        if isinstance(step, Up):
+    # no position is counted: only the error needs it, and finds it again
+    for step in path.steps:
+        if step is UP or isinstance(step, Up):
             if fell:
                 levels.append(height)
+                fell = False
             height += 1
-            fell = False
         else:
             height -= step.size
             if height < 0:
+                position = next(i for i, h in enumerate(heights(path), start=1) if h < 0)
                 raise NegativeExcursionError(position, height)
             fell = True
     if height != 0:
@@ -235,7 +238,7 @@ def valley_levels(path: DeutschPath) -> tuple[int, ...]:
 def is_nondecreasing(path: DeutschPath) -> bool:
     """True when the valley levels weakly increase left to right."""
     levels = valley_levels(path)
-    return all(a <= b for a, b in pairwise(levels))
+    return all(map(operator.le, levels, levels[1:]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -346,15 +349,6 @@ def compose(dec: Decomposition) -> DeutschPath:
     return validate(DeutschPath(tuple(steps)))
 
 
-def _can_finish(height: int, remaining: int) -> bool:
-    # a single step cannot start and end on the ground
-    if remaining == 0:
-        return height == 0
-    if remaining == 1:
-        return height >= 1
-    return True
-
-
 def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
     """Yield every validated path of length ``n`` once, in canonical order.
 
@@ -368,6 +362,7 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
     def walk() -> Iterator[DeutschPath]:
         # lexicographic successor in a loop: no frame per step to run out of
         steps: list[Step] = []
+        before: list[int] = []  # the level before each kept step
         height = 0  # level after the steps kept
         while True:
             # the least completion climbs, then falls home in one step
@@ -375,21 +370,25 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
             if left:
                 steps += [UP] * (left - 1)
                 steps.append(_down(height + left - 1))
+                before += range(height, height + left)
             yield DeutschPath(tuple(steps))
-            # the last step that can fall one level further and still finish
-            height = 0  # a whole path ends on the ground
+            # the last step that can fall one level further and still
+            # finish: it must land on or above the ground, and above it
+            # when one step follows (the last step, lowered, always sinks)
             while steps:
                 step = steps.pop()
-                height -= _rise(step)
-                size = step.size + 1 if isinstance(step, Down) else 1
-                if size <= height and _can_finish(height - size, n - len(steps) - 1):
+                height = before.pop()
+                size = 1 if step is UP else step.size + 1
+                if height - size >= (len(steps) == n - 2):
                     break
             else:
                 return
             steps.append(_down(size))
+            before.append(height)
             height -= size
 
-    return walk() if _can_finish(0, n) else iter(())
+    # no single step can leave the ground and come back to it
+    return walk() if n != 1 else iter(())
 
 
 def enumerate_nondecreasing_filter(n: int) -> Iterator[DeutschPath]:

@@ -213,6 +213,20 @@ def test_list_json():
     assert result.stdout == '{"steps":["U","D1"]}\n'
 
 
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+def test_list_gives_the_structural_stream(flag):
+    # the filter route the CLI lists by, against the route that builds
+    # each path from its decomposition, past the golden listings' length
+    expected = list(paths.enumerate_nondecreasing_direct(13))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["list", "--length", "13", *flag]) == 0
+    render = paths.path_to_json if flag else paths.render_path
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 6930
+    assert lines == [render(p) for p in expected]
+
+
 def test_list_empty_length():
     result = run_cli("list", "--length", "0")
     assert result.returncode == 0

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -21,6 +22,7 @@ from deutschpaths import (
     NotNonDecreasingError,
     PathTokenError,
     UP,
+    Up,
     as_mountain,
     compose,
     decompose,
@@ -75,6 +77,38 @@ def _count_nondecreasing_dp(n: int) -> int:
         return total
 
     return walk(n, 0, 0, False)
+
+
+def _lex_rank(n: int):
+    """An independent rank of the length-``n`` paths in canonical order.
+
+    completions[r][h] counts the ways to finish from level h with r
+    steps left, and below[r][h] sums completions[r][g] over g < h.  A
+    path's rank adds, at each step, the completions of every smaller
+    step there: U < D1 < D2 < ..., so a fall of k skips U and D1 ..
+    D(k-1).
+    """
+    top = n + 1  # no level reached from 0 in n steps needs more
+    completions = [[1] + [0] * top]
+    for r in range(1, n + 1):
+        prev = completions[-1]
+        below = [0, *accumulate(prev)]
+        completions.append([(prev[h + 1] if h < top else 0) + below[h] for h in range(top + 1)])
+    below = [[0, *accumulate(row)] for row in completions]
+
+    def rank(path: DeutschPath) -> int:
+        total, height, left = 0, 0, n
+        for step in path.steps:
+            left -= 1
+            if step == UP:
+                height += 1
+            else:
+                total += completions[left][height + 1]
+                total += below[left][height] - below[left][height - step.size + 1]
+                height -= step.size
+        return total
+
+    return rank
 
 
 class TestParsing:
@@ -179,7 +213,7 @@ def _two_walk_valley_levels(path: DeutschPath):
         height += rises[i - 1]
         if rises[i - 1] < 0 < rises[i]:
             levels.append(height)
-    return ("valleys", tuple(levels))
+    return ("value", tuple(levels))
 
 
 def _grounded(steps):
@@ -188,7 +222,7 @@ def _grounded(steps):
     out, height = [], 0
     for step in steps:
         if step == UP:
-            out.append(UP)
+            out.append(step)
             height += 1
         elif height:
             fall = min(step.size, height)
@@ -199,7 +233,22 @@ def _grounded(steps):
     return out
 
 
-STEP_LISTS = st.lists(st.one_of(st.just(UP), st.integers(1, 3).map(Down)), max_size=14)
+# up-steps come as the UP singleton and as fresh Up() instances, which
+# the walks must treat alike
+STEP_LISTS = st.lists(
+    st.one_of(st.just(UP), st.builds(Up), st.integers(1, 3).map(Down)), max_size=14
+)
+ANY_STEPS = st.one_of(STEP_LISTS, STEP_LISTS.map(_grounded))
+
+
+def _outcome(function, path):
+    # the value, or the error with what it reports
+    try:
+        return ("value", function(path))
+    except NegativeExcursionError as exc:
+        return ("below ground", exc.position, exc.height)
+    except NonzeroEndError as exc:
+        return ("off the ground", exc.final_height)
 
 
 class TestValleys:
@@ -225,17 +274,28 @@ class TestValleys:
         # the point between two down-steps is entered by a fall and left by one
         assert valley_levels(parse_path("U U D1 D1")) == ()
 
-    @given(st.one_of(STEP_LISTS, STEP_LISTS.map(_grounded)))
+    @given(ANY_STEPS)
     @example([])
     def test_one_walk_matches_two(self, steps):
         path = DeutschPath(tuple(steps))
-        try:
-            got = ("valleys", valley_levels(path))
-        except NegativeExcursionError as exc:
-            got = ("below ground", exc.position, exc.height)
-        except NonzeroEndError as exc:
-            got = ("off the ground", exc.final_height)
-        assert got == _two_walk_valley_levels(path)
+        assert _outcome(valley_levels, path) == _two_walk_valley_levels(path)
+
+    @given(ANY_STEPS)
+    @example([])
+    def test_nondecreasing_means_sorted_valleys(self, steps):
+        path = DeutschPath(tuple(steps))
+        expected = _two_walk_valley_levels(path)
+        if expected[0] == "value":
+            expected = ("value", list(expected[1]) == sorted(expected[1]))
+        assert _outcome(is_nondecreasing, path) == expected
+
+    @given(ANY_STEPS)
+    def test_fresh_up_instances_act_as_the_singleton(self, steps):
+        singleton = DeutschPath(tuple(UP if s == UP else s for s in steps))
+        fresh = DeutschPath(tuple(Up() if s == UP else s for s in steps))
+        assert all(s is not UP for s in fresh.steps)
+        for function in (valley_levels, is_nondecreasing, render_path, path_to_json):
+            assert _outcome(function, fresh) == _outcome(function, singleton)
 
 
 class TestMountains:
@@ -293,6 +353,17 @@ class TestEnumeration:
                 hs = heights(p)
                 assert all(h >= 0 for h in hs)
                 assert (hs[-1] if hs else 0) == 0
+
+    @pytest.mark.parametrize("n", range(12))
+    def test_whole_streams_rank_in_order(self, n):
+        rank = _lex_rank(n)
+        assert [rank(p) for p in enumerate_deutsch(n)] == list(range(_count_all_deutsch_dp(n)))
+
+    def test_a_long_stream_opens_in_rank_order(self):
+        # the golden listings stop at length 10; a reader under `| head`
+        # sees the opening of streams hundreds of steps long
+        rank = _lex_rank(200)
+        assert [rank(p) for p in islice(enumerate_deutsch(200), 2000)] == list(range(2000))
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):

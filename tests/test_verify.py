@@ -297,6 +297,17 @@ FAULTS = {
             ),
         },
     ),
+    "closed-count-routes.ring": (
+        numbers,
+        "count_nondecreasing_quadratic",
+        wrong_on(10, lambda c: c + 1),
+        {
+            "closed-count-routes": (
+                "numbers: closed count equals ring evaluation and series",
+                "n=10",
+            ),
+        },
+    ),
     "unit-down.non-integral": (
         series,
         "gf_coefficients",
@@ -456,10 +467,9 @@ def cli_line(name: str, passed: bool, detail: str) -> str:
     return f"FAIL {name} ({detail})" if detail else f"FAIL {name}"
 
 
-@pytest.mark.parametrize("check", FAULTS)
-def test_fault_fails_its_check(monkeypatch, check):
-    module, attribute, patch, failures = FAULTS[check]
-    assert check.partition(".")[0] in failures
+def assert_fault_fails(monkeypatch, fault, max_length=MAX_LENGTH):
+    """Run ``verify --max max_length`` under ``fault`` and pin its report."""
+    module, attribute, patch, failures = fault
     monkeypatch.setattr(module, attribute, patch(getattr(module, attribute)))
     # run the suite once, through the CLI, and keep what run_checks returned
     results = []
@@ -470,22 +480,70 @@ def test_fault_fails_its_check(monkeypatch, check):
         return results
 
     monkeypatch.setattr(verify, "run_checks", recording)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["verify", "--max", str(MAX_LENGTH)])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--max", str(max_length)])
 
     expected = [
         (failures[label][0], False, failures[label][1])
         if label in failures
-        else (name, True, "")
+        else (name.replace(f"<= {MAX_LENGTH})", f"<= {max_length})"), True, "")
         for label, name in PASSING.items()
     ]
     assert [(r.name, r.passed, r.detail) for r in results] == expected
-    assert code == 1
+    assert (code, err.getvalue()) == (1, "")
     assert out.getvalue().splitlines() == [
         *(cli_line(*row) for row in expected),
         f"{len(PASSING) - len(failures)}/{len(PASSING)} checks passed",
     ]
+
+
+@pytest.mark.parametrize("check", FAULTS)
+def test_fault_fails_its_check(monkeypatch, check):
+    assert check.partition(".")[0] in FAULTS[check][3]
+    assert_fault_fails(monkeypatch, FAULTS[check])
+
+
+def test_a_decreasing_path_let_through_fails_compose(monkeypatch):
+    # the first path whose valleys decrease has length 7; it has no
+    # decomposition, and the census must say so instead of raising
+    falling = paths.parse_path("U U D1 U D2 U D1")
+    brute = "brute [1, 0, 1, 1, 3, 6, 15, 36]"
+    fault = (
+        paths,
+        "is_nondecreasing",
+        wrong_on(falling, lambda answer: True),
+        {
+            "filter-vs-direct": (
+                "paths: filtered and structural enumerations agree, in order",
+                "streams differ at length 7",
+            ),
+            "compose-decompose": (
+                "paths: compose inverts decompose",
+                "failed on 'U U D1 U D2 U D1'",
+            ),
+            "series-vs-brute": (
+                "series: with-empty coefficients equal the brute census (n <= 7)",
+                f"series [1, 0, 1, 1, 3, 6, 15, 35], {brute}",
+            ),
+            "closed-count-routes": ("numbers: closed count equals the brute census", brute),
+        },
+    )
+    assert_fault_fails(monkeypatch, fault, max_length=7)
+
+
+def test_a_ring_fault_inside_the_census_fails_tree_count(monkeypatch):
+    # the census asks the closed route for every length it walks, and
+    # the closed route raises when its ring check disagrees
+    module, attribute, patch, failures = FAULTS["closed-count-routes.ring"]
+    failures = {
+        **failures,
+        "tree-count": (
+            "trees: trees of weight n are equinumerous with the paths",
+            "n=10: closed form routes disagree at n=10",
+        ),
+    }
+    assert_fault_fails(monkeypatch, (module, attribute, patch, failures), max_length=10)
 
 
 def test_a_check_stops_at_its_first_failure(monkeypatch):
