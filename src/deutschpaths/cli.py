@@ -72,8 +72,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    write = paths.path_to_json if args.json else paths.render_path
     for p in paths.enumerate_nondecreasing_filter(args.length):
-        print(paths.path_to_json(p) if args.json else paths.render_path(p))
+        print(write(p))
     return 0
 
 

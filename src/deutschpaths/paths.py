@@ -19,10 +19,10 @@ from __future__ import annotations
 import json
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, combinations_with_replacement, groupby, pairwise, product
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 __all__ = [
     "PathTokenError",
@@ -85,16 +85,28 @@ class NotNonDecreasingError(ValueError):
 class Up:
     """Unit rise."""
 
+    token: ClassVar[str] = "U"
+
 
 @dataclass(frozen=True, slots=True)
 class Down:
-    """Fall of ``size`` levels in a single step."""
+    """Fall of ``size`` levels in a single step.
+
+    ``token`` is the step's text, ``"D<size>"``, formatted once when the
+    step is built so that rendering formats nothing.  A size past
+    Python's int-to-str digit limit (4,300 digits by default on 3.11
+    and later) therefore raises ``ValueError`` here, not when the path
+    is rendered.  No command meets that: ``cli.main`` lifts the limit
+    before a handler parses a path.
+    """
 
     size: int
+    token: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError(f"down-step size must be >= 1, got {self.size}")
+        object.__setattr__(self, "token", f"D{self.size}")
 
 
 Step = Up | Down
@@ -153,8 +165,9 @@ def parse_path(text: str) -> DeutschPath:
 
 
 def _tokens(path: DeutschPath) -> list[str]:
-    # one comprehension, no call per step: listing renders every step
-    return ["U" if s is UP or isinstance(s, Up) else f"D{s.size}" for s in path.steps]
+    # one comprehension, no call or formatting per step: listing renders
+    # every step, and each step carries its token
+    return ["U" if s is UP else s.token for s in path.steps]
 
 
 def render_path(path: DeutschPath) -> str:
@@ -162,14 +175,22 @@ def render_path(path: DeutschPath) -> str:
     return " ".join(_tokens(path))
 
 
-# The one encoder of every record writer in the package: json.dumps with
-# separators other than its default builds a new JSONEncoder per call.
+# The encoder of the package's other record writers (trees, series and
+# the table and verify reports): json.dumps with separators other than
+# its default builds a new JSONEncoder per call.
 _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def path_to_json(path: DeutschPath) -> str:
-    """Serialise a path as ``{"steps": ["U", "D1", ...]}``."""
-    return _RECORD_ENCODER.encode({"steps": _tokens(path)})
+    """Serialise a path as ``{"steps":["U","D1",...]}``.
+
+    The bytes are those of ``json.dumps`` with ``(",", ":")`` separators,
+    written here directly: every token is ``U`` or ``D`` and digits, so
+    none needs escaping, and a call of ``JSONEncoder.encode`` builds a
+    new C encoder each time, which costs more than the whole record.
+    """
+    tokens = _tokens(path)
+    return '{"steps":["' + '","'.join(tokens) + '"]}' if tokens else '{"steps":[]}'
 
 
 def path_from_json(text: str) -> DeutschPath:
@@ -360,6 +381,10 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
         raise ValueError("length must be >= 0")
 
     def walk() -> Iterator[DeutschPath]:
+        # each path skips DeutschPath's generated __init__, which checks
+        # nothing: object.__new__ and the slot setter are C calls, and a
+        # helper around them would cost as much as the __init__ it skips
+        new, set_steps = object.__new__, DeutschPath.steps.__set__
         # lexicographic successor in a loop: no frame per step to run out of
         steps: list[Step] = []
         before: list[int] = []  # the level before each kept step
@@ -371,7 +396,9 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
                 steps += [UP] * (left - 1)
                 steps.append(_down(height + left - 1))
                 before += range(height, height + left)
-            yield DeutschPath(tuple(steps))
+            path = new(DeutschPath)
+            set_steps(path, tuple(steps))
+            yield path
             # the last step that can fall one level further and still
             # finish: it must land on or above the ground, and above it
             # when one step follows (the last step, lowered, always sinks)

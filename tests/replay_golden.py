@@ -44,6 +44,8 @@ CASES = {
     "table-60.jsonl": ["table", "--max", "60", "--json"],
     "list-10.txt": ["list", "--length", "10"],
     "list-10.jsonl": ["list", "--length", "10", "--json"],
+    # the first length whose records hold a two-digit token (D11)
+    "list-12.jsonl": ["list", "--length", "12", "--json"],
     "verify-8.txt": ["verify", "--max", "8"],
     "verify-0.txt": ["verify", "--max", "0"],
     # the README's command-line examples; its `verify --max 12` has the

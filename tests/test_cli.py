@@ -464,7 +464,7 @@ def test_closed_pipe_ends_the_process_quietly(length):
 
 @pytest.fixture
 def encoded(monkeypatch):
-    """(record, text) for each record the package's one JSON encoder writes."""
+    """(record, text) for each record the package's shared JSON encoder writes."""
     seen = []
     encode = paths._RECORD_ENCODER.encode
 
@@ -477,19 +477,22 @@ def encoded(monkeypatch):
 
 
 def test_each_record_writer_matches_json_dumps(encoded, capsys):
+    # path records are written without the encoder, so they meet json.dumps here
+    path_record = paths.path_to_json(paths.parse_path("U " * 40 + "D40 U D1"))
+    tokens = ["U"] * 40 + ["D40", "U", "D1"]
+    assert path_record == json.dumps({"steps": tokens}, separators=(",", ":"))
     huge = 10**4000 + 1  # inside the default int-to-str limit of 4,300 digits
     written = [
-        paths.path_to_json(paths.parse_path("U " * 40 + "D40 U D1")),
         trees.tree_to_json(trees.path_to_tree(paths.parse_path("U U D2 U D1"))),
         series.coefficients_to_json("x", [Fraction(huge, 3), -huge, Fraction(-1, 2), 0]),
     ]
     assert cli.main(["table", "--max", "250", "--json"]) == 0
     assert cli.main(["verify", "--max", "0", "--json"]) == 0
     written += capsys.readouterr().out.splitlines()
-    assert len(written) == len(encoded) > 3 + 251
+    assert len(written) == len(encoded) > 2 + 251
     for text, (record, encoded_text) in zip(written, encoded):
         assert text == encoded_text == json.dumps(record, separators=(",", ":"))
-    assert f'"{huge}/3","-{huge}","-1/2","0"' in written[2]
+    assert f'"{huge}/3","-{huge}","-1/2","0"' in written[1]
 
 
 def test_output_is_deterministic():

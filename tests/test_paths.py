@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 import subprocess
 import sys
@@ -143,6 +144,17 @@ class TestParsing:
         with pytest.raises(ValueError):
             Down(0)
 
+    def test_down_token_is_neither_shown_nor_compared(self):
+        assert repr(Down(3)) == "Down(size=3)"
+        assert Down(3) == paths._down(3)
+        assert hash(Down(3)) == hash(paths._down(3))
+        assert Down(3).token == "D3"
+
+    def test_down_token_is_formatted_when_the_step_is_built(self, int_digit_limit):
+        # cli.main lifts the limit before a handler parses a path
+        with pytest.raises(ValueError):
+            Down(10**5000)
+
     @given(
         st.lists(
             st.one_of(st.just(UP), st.integers(1, 9).map(Down)),
@@ -152,6 +164,25 @@ class TestParsing:
     def test_render_parse_round_trip(self, steps):
         path = DeutschPath(tuple(steps))
         assert parse_path(render_path(path)) == path
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(UP),
+                st.builds(Up),
+                st.integers(1, 10**60 - 1).map(paths._down),
+                st.integers(1, 10**60 - 1).map(Down),
+            ),
+            max_size=20,
+        )
+    )
+    @example([])
+    def test_writers_match_their_formulas(self, steps):
+        path = DeutschPath(tuple(steps))
+        tokens = ["U" if isinstance(s, Up) else f"D{s.size}" for s in steps]
+        assert render_path(path) == " ".join(tokens)
+        assert path_to_json(path) == json.dumps({"steps": tokens}, separators=(",", ":"))
+        assert path_from_json(path_to_json(path)) == path
 
     def test_json_round_trip(self):
         path = parse_path("U U D2 U D1")
@@ -364,6 +395,21 @@ class TestEnumeration:
         # sees the opening of streams hundreds of steps long
         rank = _lex_rank(200)
         assert [rank(p) for p in islice(enumerate_deutsch(200), 2000)] == list(range(2000))
+
+    @pytest.mark.parametrize("n", [*range(11), 300])
+    def test_walked_paths_are_ordinary_paths(self, n):
+        # the walk builds its paths without __init__; every path up to
+        # length 10 (603 at most), the first 2,000 at length 300
+        for p in islice(enumerate_deutsch(n), 2000):
+            built = DeutschPath(p.steps)
+            assert type(p) is DeutschPath
+            assert p == built
+            assert hash(p) == hash(built)
+            assert repr(p) == repr(built)
+            assert p.sort_key() == built.sort_key()
+
+    def test_skipping_init_skips_no_check(self):
+        assert not hasattr(DeutschPath, "__post_init__")
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
