@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, combinations_with_replacement, groupby, pairwise, product
-from typing import ClassVar, Iterator
+from typing import Iterator
 
 __all__ = [
     "PathTokenError",
@@ -83,9 +83,15 @@ class NotNonDecreasingError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Up:
-    """Unit rise."""
+    """Unit rise.
 
-    token: ClassVar[str] = "U"
+    There is one up-step, :data:`UP`: ``Up()`` returns it, and so do
+    ``copy``, ``deepcopy``, ``pickle`` and ``dataclasses.replace``.  The
+    package therefore tells steps apart by identity, ``step is UP``.
+    """
+
+    def __new__(cls) -> Up:
+        return UP
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,7 +117,7 @@ class Down:
 
 Step = Up | Down
 
-UP = Up()
+UP = object.__new__(Up)
 
 
 @cache
@@ -120,7 +126,7 @@ def _down(size: int) -> Down:
 
 
 def _rise(step: Step) -> int:
-    return 1 if isinstance(step, Up) else -step.size
+    return 1 if step is UP else -step.size
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,7 +172,7 @@ def parse_path(text: str) -> DeutschPath:
 
 def _tokens(path: DeutschPath) -> list[str]:
     # one comprehension, no call or formatting per step: listing renders
-    # every step, and each step carries its token
+    # every step, and each Down carries its token
     return ["U" if s is UP else s.token for s in path.steps]
 
 
@@ -240,7 +246,7 @@ def valley_levels(path: DeutschPath) -> tuple[int, ...]:
     fell = False  # the step before was a down-step
     # no position is counted: only the error needs it, and finds it again
     for step in path.steps:
-        if step is UP or isinstance(step, Up):
+        if step is UP:
             if fell:
                 levels.append(height)
                 fell = False
@@ -292,7 +298,7 @@ def as_mountain(path: DeutschPath) -> Mountain | None:
     """
     if valley_levels(path) or not path.steps:
         return None
-    ups = sum(isinstance(s, Up) for s in path.steps)
+    ups = sum(s is UP for s in path.steps)
     return Mountain(ups, tuple(s.size for s in path.steps[ups:]))
 
 
@@ -485,24 +491,14 @@ def enumerate_nondecreasing_direct(n: int) -> Iterator[DeutschPath]:
 
 @dataclass(frozen=True, slots=True)
 class PathStats:
-    """Per-path record of the basic statistics."""
+    """Step counts of one validated path."""
 
-    length: int
     up_count: int
     downstep_count: int
-    height: int
-    valley_levels: tuple[int, ...]
 
 
 def path_stats(path: DeutschPath) -> PathStats:
-    """Statistics of one validated path."""
-    levels = valley_levels(path)
-    downs = sum(1 for s in path.steps if isinstance(s, Down))
-    top = max(heights(path), default=0)
-    return PathStats(
-        length=len(path.steps),
-        up_count=len(path.steps) - downs,
-        downstep_count=downs,
-        height=top,
-        valley_levels=levels,
-    )
+    """Step counts of a path, which must pass :func:`validate`."""
+    validate(path)
+    ups = sum(s is UP for s in path.steps)
+    return PathStats(up_count=ups, downstep_count=len(path.steps) - ups)

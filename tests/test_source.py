@@ -38,3 +38,23 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{source.name}: {name}" for name in _imported_names(tree) if name not in used]
     assert unused == []
+
+
+def _isinstance_classes(tree: ast.Module):
+    # the class names each isinstance call tests, bare or module-qualified
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            classes = node.args[1]
+            for cls in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
+                yield node.lineno, getattr(cls, "attr", getattr(cls, "id", None))
+
+
+def test_steps_are_told_apart_by_identity():
+    # UP is the only up-step, so `step is UP` is the one kind test
+    found = [
+        f"{source.name}:{line}"
+        for source in SOURCES
+        for line, name in _isinstance_classes(ast.parse(source.read_text(), str(source)))
+        if name in {"Up", "Down"}
+    ]
+    assert found == []

@@ -593,6 +593,17 @@ def test_mountain_series_reads_the_whole_census(wrong):
     assert list(verify._mountain_series_failures(14, census)) == [(None, "")]
 
 
+def test_closed_count_reads_a_census_past_the_series():
+    # the series stops at n = 64; the census is compared with the closed counts
+    top = verify.SEQUENCE_LIMIT + 1
+    census = [numbers.count_nondecreasing_closed(n) for n in range(top + 1)]
+    assert list(verify._closed_count_failures(top, census)) == []
+    census[top] += 1
+    assert list(verify._closed_count_failures(top, census)) == [
+        ("numbers: closed count equals the brute census", f"brute {census}")
+    ]
+
+
 def verify_json() -> tuple[int, list[dict]]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
