@@ -226,8 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # Counts past n ~ 11,240 have more digits than Python >= 3.11 turns
-    # into str by default (3.10 has neither the limit nor its setter).
+    # Counts past n ~ 11,240 have more digits than Python >= 3.10.7 turns
+    # into str by default (3.10.0 to 3.10.6 have neither limit nor setter).
     # It is lifted after parsing, so argv integers still meet it, and
     # set back however the call ends, so only this call runs without it.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None

@@ -204,9 +204,11 @@ class QuadraticNumber(_DerivedOperators):
     __rmul__ = __mul__
 
     def conjugate(self) -> QuadraticNumber:
+        """a - b sqrt(2), the image under sqrt(2) -> -sqrt(2)."""
         return QuadraticNumber(self.a, -self.b)
 
     def norm(self) -> Fraction | int:
+        """a^2 - 2 b^2, the value times its conjugate."""
         return self.a * self.a - 2 * self.b * self.b
 
     @_lifted

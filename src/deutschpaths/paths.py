@@ -36,7 +36,6 @@ __all__ = [
     "DeutschPath",
     "Mountain",
     "Decomposition",
-    "PathStats",
     "parse_path",
     "render_path",
     "path_to_json",
@@ -52,7 +51,6 @@ __all__ = [
     "iter_decompositions",
     "decompose",
     "compose",
-    "path_stats",
 ]
 
 
@@ -100,8 +98,8 @@ class Down:
 
     ``token`` is the step's text, ``"D<size>"``, formatted once when the
     step is built so that rendering formats nothing.  A size past
-    Python's int-to-str digit limit (4,300 digits by default on 3.11
-    and later) therefore raises ``ValueError`` here, not when the path
+    Python's int-to-str digit limit (4,300 digits by default since
+    3.10.7) therefore raises ``ValueError`` here, not when the path
     is rendered.  No command meets that: ``cli.main`` lifts the limit
     before a handler parses a path.
     """
@@ -487,18 +485,3 @@ def enumerate_nondecreasing_direct(n: int) -> Iterator[DeutschPath]:
     compared step for step with :func:`enumerate_nondecreasing_filter`.
     """
     return iter(sorted(map(compose, iter_decompositions(n)), key=DeutschPath.sort_key))
-
-
-@dataclass(frozen=True, slots=True)
-class PathStats:
-    """Step counts of one validated path."""
-
-    up_count: int
-    downstep_count: int
-
-
-def path_stats(path: DeutschPath) -> PathStats:
-    """Step counts of a path, which must pass :func:`validate`."""
-    validate(path)
-    ups = sum(s is UP for s in path.steps)
-    return PathStats(up_count=ups, downstep_count=len(path.steps) - ups)

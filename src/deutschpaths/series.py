@@ -104,10 +104,6 @@ class TruncatedSeries(_DerivedOperators):
         series._denominator = denominator // common
         return series
 
-    @classmethod
-    def constant(cls, value: Coeff, order: int) -> TruncatedSeries:
-        return cls([value], order)
-
     @property
     def order(self) -> int:
         return len(self._numerators) - 1
@@ -135,7 +131,7 @@ class TruncatedSeries(_DerivedOperators):
         return f"TruncatedSeries([{shown}{tail}], order={self.order})"
 
     def _scalar(self, value: Coeff) -> TruncatedSeries:
-        return TruncatedSeries.constant(value, self.order)
+        return TruncatedSeries([value], self.order)
 
     @_lifted
     def __add__(self, rhs: TruncatedSeries) -> TruncatedSeries:

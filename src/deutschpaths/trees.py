@@ -57,6 +57,8 @@ class TreeRecordError(ValueError):
 
 
 class EdgeMark(Enum):
+    """The mark on a tree edge: a single, or a double that weighs two."""
+
     SINGLE = "s"
     DOUBLE = "d"
 
@@ -137,13 +139,6 @@ def validate_tree(tree: MarkedTree) -> list[str]:
     return problems
 
 
-def _checked(tree: MarkedTree) -> MarkedTree:
-    problems = validate_tree(tree)
-    if problems:
-        raise TreeInvariantError(problems)
-    return tree
-
-
 def path_to_tree(path: DeutschPath) -> MarkedTree:
     """Encode a validated weakly-increasing-valley path as a marked tree.
 
@@ -164,7 +159,9 @@ def tree_to_path(tree: MarkedTree) -> DeutschPath:
 
     Invariant violations are reported before any conversion happens.
     """
-    _checked(tree)
+    problems = validate_tree(tree)
+    if problems:
+        raise TreeInvariantError(problems)
     homerun = marks_to_composition(tree.backbone)
     bundles = tuple(
         tuple(

@@ -13,11 +13,11 @@ def int_digit_limit():
 
     Pins the limit at 4300 whatever the interpreter was started with
     (``PYTHONINTMAXSTRDIGITS``, ``-X int_max_str_digits``), and restores
-    the old value afterwards.  Python 3.10 has no limit, and the test
-    is skipped there.
+    the old value afterwards.  Python 3.10.0 to 3.10.6 have no limit,
+    and the test is skipped there.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("no int-to-str digit limit before Python 3.11")
+        pytest.skip("no int-to-str digit limit before Python 3.10.7")
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     yield

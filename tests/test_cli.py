@@ -95,6 +95,31 @@ def test_gf_expansion_ends_on_the_count_at_twelve_thousand():
     assert coeffs[-1] + "\n" == count.stdout
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_table_past_the_int_str_digit_limit(int_digit_limit, json_flag):
+    # 640 is the lowest limit Python accepts; counts pass 640 digits from
+    # n = 1675 on, and a(1700) has 650.  This process reads them back
+    # under the default limit of 4,300.
+    result = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "deutschpaths", "table"]
+        + ["--max", "1700", *json_flag],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    if json_flag:
+        rows = [json.loads(line) for line in result.stdout.splitlines()]
+        agree = [row["agree"] for row in rows]
+        last = (rows[-1]["n"], rows[-1]["closed"], rows[-1]["series"])
+    else:
+        rows = [line.split("\t") for line in result.stdout.splitlines()[1:]]
+        agree = [row[4] == "yes" for row in rows]
+        last = (int(rows[-1][0]), int(rows[-1][1]), int(rows[-1][2]))
+    assert len(agree) == 1701 and all(agree)
+    count = numbers.count_nondecreasing_closed(1700)
+    assert last == (1700, count, count)
+
+
 @pytest.fixture
 def ring_off_by_one_at_seven(monkeypatch):
     """``count_nondecreasing_quadratic`` one too high at n = 7 only."""

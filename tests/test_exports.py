@@ -13,16 +13,17 @@ from deutschpaths import (
     numbers,
     paths,
     series,
+    trees,
 )
 
 EXPORTED = """
-__version__ DeutschPath Up Down UP Step Mountain Decomposition PathStats
+__version__ DeutschPath Up Down UP Step Mountain Decomposition
 PathTokenError NegativeExcursionError NonzeroEndError
 NotNonDecreasingError parse_path render_path path_to_json path_from_json
 validate heights valley_levels is_nondecreasing as_mountain
 enumerate_deutsch enumerate_nondecreasing_filter
 enumerate_nondecreasing_direct iter_decompositions decompose compose
-path_stats EdgeMark MarkedTree TreeStats DanglingSinglesError
+EdgeMark MarkedTree TreeStats DanglingSinglesError
 TreeInvariantError TreeRecordError composition_to_marks marks_to_composition
 path_to_tree tree_to_path tree_statistics validate_tree tree_to_json
 tree_from_json render_outline TruncatedSeries RationalGF
@@ -37,14 +38,16 @@ delete_leading_domino render_tiling CheckResult run_checks timed_checks
 """.split()
 
 # Names that are gone from the package and from every module: one-line
-# wrappers around an operator, a method or str(), and names that no
-# command, verify check or benchmark workload reached.
+# wrappers around an operator, a method or str(), names that no
+# command, verify check or benchmark workload reached, and a record and
+# helpers that had one caller, which now does their work itself.
 REMOVED = """
 series_add series_mul series_div rational_coeffs format_coefficient quad_pow
 statistics StatsSummary format_bfile DEFAULT_ORDER _fractions Polynomial _poly
+PathStats path_stats _checked
 """.split()
 
-# members that nothing outside their own tests reached
+# members that nothing outside their own tests reached, or that had one caller
 REMOVED_MEMBERS = [
     (TruncatedSeries, "truncate"),
     (RationalGF, "_integer_terms"),
@@ -53,6 +56,7 @@ REMOVED_MEMBERS = [
     (Mountain, "length"),
     (Decomposition, "length"),
     (DeutschPath, "__len__"),
+    (TruncatedSeries, "constant"),
 ]
 
 
@@ -64,7 +68,7 @@ def test_public_names_import_from_the_package():
 
 def test_wrappers_are_gone():
     for name in REMOVED:
-        for module in (deutschpaths, numbers, paths, series):
+        for module in (deutschpaths, numbers, paths, series, trees):
             assert not hasattr(module, name), (module.__name__, name)
     for owner, name in REMOVED_MEMBERS:
         assert not hasattr(owner, name), (owner.__name__, name)

@@ -38,7 +38,6 @@ from deutschpaths import (
     iter_decompositions,
     parse_path,
     path_from_json,
-    path_stats,
     path_to_json,
     render_path,
     valley_levels,
@@ -564,19 +563,3 @@ class TestDecomposition:
         for n in range(12):
             for dec in (decompose(p) for p in enumerate_nondecreasing_filter(n)):
                 assert len(dec.bundles) == dec.height
-
-
-class TestStatistics:
-    def test_empty_length(self):
-        record = path_stats(parse_path(""))
-        assert (record.up_count, record.downstep_count) == (0, 0)
-
-    def test_record_fields(self):
-        stats = path_stats(parse_path("U U D1 U D2"))
-        assert stats == path_stats(parse_path("U U D1 U D2"))
-        assert (stats.up_count, stats.downstep_count) == (3, 2)
-        # the counts are only given for a path that passes validate
-        with pytest.raises(NegativeExcursionError):
-            path_stats(parse_path("U D2 U U"))
-        with pytest.raises(NonzeroEndError):
-            path_stats(parse_path("U U D1"))

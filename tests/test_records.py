@@ -1,14 +1,29 @@
-"""The record parsers on hostile input: each returns a value or raises its
-own record error, never another exception."""
+"""Hostile input at the package's boundaries.
+
+A record parser returns a value or raises its own record error, never
+another exception.  The CLI answers any argv with exit 0 and a quiet
+stderr, or with exit 2 and one ``error:`` line, and answers it the same
+way when called again in the same process.
+"""
 
 from __future__ import annotations
 
 import contextlib
+import io
 import json
+import re
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from deutschpaths import PathTokenError, TreeRecordError, parse_path, path_from_json, tree_from_json
+from deutschpaths import (
+    FORM_NAMES,
+    PathTokenError,
+    TreeRecordError,
+    cli,
+    parse_path,
+    path_from_json,
+    tree_from_json,
+)
 
 HUGE = "9" * 5000
 
@@ -66,3 +81,86 @@ def test_path_from_json_raises_only_token_errors(int_digit_limit, text):
 def test_tree_from_json_raises_only_record_errors(int_digit_limit, text):
     with contextlib.suppress(TreeRecordError):
         tree_from_json(text)
+
+
+def _not_an_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# Sizes are bounded by run time only.  A valid huge size, such as
+# `count --length` with 30 digits, is left out: it runs unbounded.  Digit
+# strings past the 4,300-digit limit are drawn, because argparse's int()
+# rejects them before `main` lifts the limit.
+over_long = st.builds(
+    lambda sign, digits: sign + "7" * digits,
+    st.sampled_from(["", "-", "+"]),
+    st.integers(4301, 5000),
+)
+not_an_int = st.text(max_size=8).filter(_not_an_int)
+size = st.one_of(st.integers(-3, 11).map(str), not_an_int, over_long)
+verify_max = st.one_of(st.integers(-3, 1).map(str), not_an_int, over_long)
+tree_text = st.one_of(
+    json_text,
+    st.sampled_from(['{"backbone":[],"bundles":[]}', '{"backbone":["d"],"bundles":[[["s","d"]]]}']),
+)
+form = st.one_of(st.sampled_from(FORM_NAMES), st.text(max_size=10))
+
+
+def _words(*parts: str) -> st.SearchStrategy[list[str]]:
+    return st.just(list(parts))
+
+
+def _flag(name: str) -> st.SearchStrategy[list[str]]:
+    return st.sampled_from([[], [name]])
+
+
+def _option(name: str, values: st.SearchStrategy[str]) -> st.SearchStrategy[list[str]]:
+    return st.one_of(st.just([]), values.map(lambda value: [name, value]))
+
+
+def _argv(*parts: st.SearchStrategy) -> st.SearchStrategy[list[str]]:
+    """argv joined from parts that each draw one word or a list of words."""
+    return st.tuples(*parts).map(
+        lambda drawn: [w for part in drawn for w in ([part] if isinstance(part, str) else part)]
+    )
+
+
+methods = st.sampled_from(["closed", "series", "brute", "direct", "guess"])
+argv = st.one_of(
+    _argv(_words("count", "--length"), size, _option("--method", methods)),
+    _argv(_words("table", "--max"), size, _option("--brute-cap", size), _flag("--json")),
+    _argv(_words("list", "--length"), size, _flag("--json")),
+    _argv(_words("tree", "--path"), token_text, _flag("--json")),
+    _argv(_words("path", "--tree"), tree_text),
+    _argv(_words("gf", "--form"), form, _words("--terms"), size, _flag("--json")),
+    _argv(_words("mountains", "--steps"), size),
+    _argv(_words("tilings", "--length"), size, _flag("--first-square"), _flag("--list")),
+    _argv(_words("verify", "--max"), verify_max, _flag("--json")),
+)
+
+
+def _run_main(words: list[str]) -> tuple[object, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(words)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    # `verify --json` records how long each check took
+    return code, re.sub(r'"seconds":[^,}]*', '"seconds":_', out.getvalue()), err.getvalue()
+
+
+@settings(fuzz, deadline=None)  # `verify` takes about 0.15 s per call
+@given(words=argv)
+def test_main_answers_every_argv_with_exit_0_or_one_error_line(int_digit_limit, words):
+    code, out, err = first = _run_main(words)
+    assert code in (0, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert sum("error:" in line for line in err.splitlines()) == 1
+    assert _run_main(words) == first

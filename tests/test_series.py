@@ -359,7 +359,7 @@ _EXACT = [
 _OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv]
 _LIFTS = {
     QuadraticNumber: lambda x, value: QuadraticNumber(value),
-    TruncatedSeries: lambda x, value: TruncatedSeries.constant(value, x.order),
+    TruncatedSeries: lambda x, value: TruncatedSeries([value], x.order),
     RationalGF: lambda x, value: RationalGF([value], [1]),
 }
 _DIVISION_BY_ZERO = {
@@ -427,7 +427,7 @@ def test_exact_types_keep_their_division_by_zero(x):
     "x, zero",
     [
         (SILVER_RATIO, QuadraticNumber(0)),
-        (TruncatedSeries([0, 1], 3), TruncatedSeries.constant(0, 3)),
+        (TruncatedSeries([0, 1], 3), TruncatedSeries([0], 3)),
         (
             RationalGF([0, 1], [1]),
             RationalGF([0], [1]),

@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
+from itertools import pairwise
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from deutschpaths import (
+    UP,
     DanglingSinglesError,
+    Decomposition,
     EdgeMark,
     MarkedTree,
+    Mountain,
     TreeInvariantError,
     TreeRecordError,
+    compose,
     composition_to_marks,
+    decompose,
     enumerate_nondecreasing_filter,
+    is_nondecreasing,
     marks_to_composition,
     parse_path,
-    path_stats,
+    path_from_json,
+    path_to_json,
     path_to_tree,
     render_outline,
     render_path,
@@ -23,6 +32,7 @@ from deutschpaths import (
     tree_statistics,
     tree_to_json,
     tree_to_path,
+    validate,
     validate_tree,
 )
 
@@ -131,10 +141,10 @@ class TestStatistics:
         for n in range(11):
             for p in enumerate_nondecreasing_filter(n):
                 stats = tree_statistics(path_to_tree(p))
-                record = path_stats(p)
+                ups = render_path(p).split().count("U")
                 assert stats.weight == n
-                assert stats.edge_count == record.up_count
-                assert stats.double_count == record.downstep_count
+                assert stats.edge_count == ups
+                assert stats.double_count == n - ups
 
     def test_unit_down_paths_mark_everything_double(self):
         for n in range(0, 11, 2):
@@ -222,3 +232,56 @@ class TestSerialisation:
             "node 2"
         )
         assert render_outline(MarkedTree()) == "node 0 (root)"
+
+
+def _composition(draw, total, parts):
+    """A composition of ``total`` into exactly ``parts`` positive parts."""
+    cuts = sorted(draw(st.permutations(range(1, total)))[: parts - 1])
+    return tuple(b - a for a, b in pairwise((0, *cuts, total)))
+
+
+@st.composite
+def decompositions(draw):
+    """A decomposition of a path of 50 to 100 steps, and that length.
+
+    The height, the home run and the mountains are drawn, and the
+    mountains, read left to right, are cut into one bundle per level.
+    """
+    n = draw(st.integers(50, 100))
+    height = draw(st.integers(1, n - 1))
+    parts = draw(st.integers(1, min(height, n - height)))
+    left = n - height - parts  # the steps the mountains take
+    assume(left != 1)  # a mountain takes at least two
+    homerun = _composition(draw, height, parts)
+    run = []
+    while left:
+        size = draw(st.integers(2, left))
+        if left - size == 1:
+            size = left
+        ups = draw(st.integers((size + 1) // 2, size - 1))
+        run.append(Mountain(ups, _composition(draw, ups, size - ups)))
+        left -= size
+    points = st.integers(0, len(run))
+    cuts = sorted(draw(st.lists(points, min_size=height - 1, max_size=height - 1)))
+    bundles = tuple(tuple(run[a:b]) for a, b in pairwise((0, *cuts, len(run))))
+    return Decomposition(height, bundles, homerun), n
+
+
+class TestRandomDecompositions:
+    """The bijections at lengths 50 to 100, past the exhaustive tests."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(decompositions())
+    def test_bijections_invert(self, drawn):
+        dec, n = drawn
+        path = compose(dec)
+        assert validate(path) is path and len(path.steps) == n
+        assert is_nondecreasing(path)
+        assert decompose(path) == dec
+        tree = path_to_tree(path)
+        assert tree_to_path(tree) == path
+        assert tree_from_json(tree_to_json(tree)) == tree
+        assert path_from_json(path_to_json(path)) == path
+        stats = tree_statistics(tree)
+        ups = sum(s is UP for s in path.steps)
+        assert (stats.weight, stats.edge_count, stats.double_count) == (n, ups, n - ups)

@@ -202,11 +202,13 @@ FAULTS = {
         },
     ),
     "tree-weight": (
-        paths,
-        "path_stats",
+        trees,
+        "tree_statistics",
         wrong_on(
-            paths.parse_path("U U D2 U D1"),
-            lambda r: dataclasses.replace(r, downstep_count=r.downstep_count + 1),
+            trees.path_to_tree(paths.parse_path("U U D2 U D1")),
+            lambda s: dataclasses.replace(
+                s, edge_count=s.edge_count - 1, double_count=s.double_count + 1
+            ),
         ),
         {
             "tree-weight": ("trees: doubles count the down-steps", "failed on 'U U D2 U D1'"),
@@ -343,17 +345,6 @@ FAULTS = {
         ),
         {
             "tree-weight": ("trees: weight equals path length", "failed on 'U U D2 U D1'"),
-        },
-    ),
-    "tree-weight.up-steps": (
-        paths,
-        "path_stats",
-        wrong_on(
-            paths.parse_path("U U D2 U D1"),
-            lambda r: dataclasses.replace(r, up_count=r.up_count + 1),
-        ),
-        {
-            "tree-weight": ("trees: edges count the up-steps", "failed on 'U U D2 U D1'"),
         },
     ),
     "five-forms": (
