@@ -127,18 +127,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for record in records:
             record["seconds"] = round(record["seconds"], 6)
             print(paths._RECORD_ENCODER.encode(record))
-        return 0 if all(result.passed for result in results) else 1
-    results = verify.run_checks(args.max)
-    failures = 0
-    for result in results:
-        if result.passed:
-            print(f"PASS {result.name}")
-        else:
-            failures += 1
-            detail = f" ({result.detail})" if result.detail else ""
-            print(f"FAIL {result.name}{detail}")
-    print(f"{len(results) - failures}/{len(results)} checks passed")
-    return 1 if failures else 0
+    else:
+        results = verify.run_checks(args.max)
+        for result in results:
+            if result.passed:
+                print(f"PASS {result.name}")
+            else:
+                detail = f" ({result.detail})" if result.detail else ""
+                print(f"FAIL {result.name}{detail}")
+        print(f"{sum(result.passed for result in results)}/{len(results)} checks passed")
+    return 0 if all(result.passed for result in results) else 1
 
 
 @functools.cache

@@ -108,6 +108,8 @@ class Down:
     token: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.size) is not int:
+            raise ValueError(f"down-step size must be an int, got {self.size!r}")
         if self.size < 1:
             raise ValueError(f"down-step size must be >= 1, got {self.size}")
         object.__setattr__(self, "token", f"D{self.size}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 from .paths import _RECORD_ENCODER, Decomposition, DeutschPath, Mountain, compose, decompose
 
@@ -173,19 +172,11 @@ def tree_to_path(tree: MarkedTree) -> DeutschPath:
     return compose(Decomposition(len(tree.backbone), bundles, homerun))
 
 
-def _all_mark_runs(tree: MarkedTree) -> Iterator[tuple[EdgeMark, ...]]:
-    yield tree.backbone
-    for bundle in tree.bundles:
-        yield from bundle
-
-
 def tree_statistics(tree: MarkedTree) -> TreeStats:
     """Count edges and doubles; weight counts doubles twice."""
-    edges = 0
-    doubles = 0
-    for run in _all_mark_runs(tree):
-        edges += len(run)
-        doubles += sum(1 for m in run if m is EdgeMark.DOUBLE)
+    runs = (tree.backbone, *(run for bundle in tree.bundles for run in bundle))
+    edges = sum(map(len, runs))
+    doubles = sum(run.count(EdgeMark.DOUBLE) for run in runs)
     return TreeStats(edge_count=edges, double_count=doubles, weight=edges + doubles)
 
 

@@ -69,31 +69,23 @@ def _listed(values: Sequence[Fraction]) -> str:
     return f"[{', '.join(map(str, values))}]"
 
 
-@dataclass
-class _Census:
-    """What one walk of each enumeration route per length leaves behind.
-
-    A path that ``heights`` flags is counted and goes no further.
-    ``failures`` keeps each check's first failure, as a one-item list of
-    its FAIL name and detail, in (length, canonical path) order; a check
-    with none reads an empty list.
-    """
-
-    mountains: list[int] = field(default_factory=list)
-    brute: list[int] = field(default_factory=list)
-    unit_down: list[int] = field(default_factory=list)
-    failures: dict[str, list[_Failure]] = field(default_factory=lambda: defaultdict(list))
-
-    def fail(self, check: str, name: str | None, detail: str) -> None:
-        self.failures.setdefault(check, [(name, detail)])
-
-
 def _failed_on(path: paths.DeutschPath) -> str:
     return f"failed on {paths.render_path(path)!r}"
 
 
-def _take_census(max_length: int) -> _Census:
-    census = _Census()
+def _take_census(
+    max_length: int,
+) -> tuple[list[int], list[int], list[int], dict[str, list[_Failure]]]:
+    """Walk each enumeration route once per length, filing every failure.
+
+    Returns the mountain, brute and unit-down (even lengths) censuses and
+    each check's failures in (length, canonical path) order; ``_report``
+    reports the first.  A path that ``heights`` flags goes no further.
+    """
+    mountain_census: list[int] = []
+    brute: list[int] = []
+    unit_down_census: list[int] = []
+    failures: dict[str, list[_Failure]] = defaultdict(list)
     bad_paths = 0
     for n in range(max_length + 1):
         mountains = 0
@@ -106,37 +98,37 @@ def _take_census(max_length: int) -> _Census:
             mountains += paths.as_mountain(p) is not None
             if paths.is_nondecreasing(p):
                 via_filter.append(p)
-        census.mountains.append(mountains)
+        mountain_census.append(mountains)
         if mountains != numbers.count_mountains(n) or mountains != (
             numbers.fibonacci(n - 1) if n >= 2 else 0
         ):
-            census.fail(
-                "mountains",
-                "paths: mountain census matches the binomial count and F(k-1)",
-                f"k={n}: census {mountains}",
+            failures["mountains"].append(
+                (
+                    "paths: mountain census matches the binomial count and F(k-1)",
+                    f"k={n}: census {mountains}",
+                )
             )
-        census.brute.append(len(via_filter))
+        brute.append(len(via_filter))
 
         via_direct = []
         for dec in paths.iter_decompositions(n):
             p = paths.compose(dec)
             if paths.decompose(p) != dec:
-                census.fail(
-                    "decompositions",
-                    "paths: decompose inverts compose",
-                    f"failed at length {n} on {dec!r}",
+                failures["decompositions"].append(
+                    ("paths: decompose inverts compose", f"failed at length {n} on {dec!r}")
                 )
             via_direct.append(p)
         via_direct.sort(key=paths.DeutschPath.sort_key)
         if via_filter != via_direct:
-            census.fail(
-                "direct",
-                "paths: filtered and structural enumerations agree, in order",
-                f"streams differ at length {n}",
+            failures["direct"].append(
+                (
+                    "paths: filtered and structural enumerations agree, in order",
+                    f"streams differ at length {n}",
+                )
             )
         del via_direct  # not held while the trees below are built
 
-        encoded = {}  # tree -> the path it encodes
+        encoded = {}  # tree -> the last path that encoded it
         unit_down = 0
         for p in via_filter:
             try:  # a path the filter let through by mistake has no decomposition
@@ -144,41 +136,42 @@ def _take_census(max_length: int) -> _Census:
             except paths.NotNonDecreasingError:
                 round_trip = None
             if round_trip != p:
-                census.fail("compose", "paths: compose inverts decompose", _failed_on(p))
+                failures["compose"].append(("paths: compose inverts decompose", _failed_on(p)))
             if round_trip is None:
                 continue
             tree = trees.path_to_tree(p)
-            if encoded.setdefault(tree, p) != p:
-                census.fail(
-                    "trees", "trees: distinct paths map to distinct trees", f"collision at length {n}"
+            if encoded.get(tree, p) != p:
+                failures["trees"].append(
+                    ("trees: distinct paths map to distinct trees", f"collision at length {n}")
                 )
+            encoded[tree] = p
             if trees.tree_to_path(tree) != p:
-                census.fail("trees", "trees: tree decoding inverts encoding", _failed_on(p))
+                failures["trees"].append(("trees: tree decoding inverts encoding", _failed_on(p)))
             # edges + doubles = n and doubles = down-steps leave edges = up-steps
             stats = trees.tree_statistics(tree)
             if stats.weight != n or stats.edge_count + stats.double_count != n:
-                census.fail("weight", "trees: weight equals path length", _failed_on(p))
+                failures["weight"].append(("trees: weight equals path length", _failed_on(p)))
             elif stats.double_count != sum(s is not paths.UP for s in p.steps):
-                census.fail("weight", "trees: doubles count the down-steps", _failed_on(p))
+                failures["weight"].append(("trees: doubles count the down-steps", _failed_on(p)))
             if all(s is paths.UP or s.size == 1 for s in p.steps):
                 unit_down += 1
                 if stats.edge_count != stats.double_count:
-                    census.fail(
-                        "dyck", "trees: unit-down paths mark every edge double", _failed_on(p)
+                    failures["dyck"].append(
+                        ("trees: unit-down paths mark every edge double", _failed_on(p))
                     )
         if n % 2 == 0:
-            census.unit_down.append(unit_down)
+            unit_down_census.append(unit_down)
         try:  # the closed route raises when its own ring check disagrees
             closed, detail = numbers.count_nondecreasing_closed(n), f"n={n}: {len(encoded)}"
         except numbers.NonIntegerResultError as exc:
             closed, detail = None, f"n={n}: {exc}"
         if len(encoded) != closed:
-            census.fail(
-                "tree-count", "trees: trees of weight n are equinumerous with the paths", detail
+            failures["tree-count"].append(
+                ("trees: trees of weight n are equinumerous with the paths", detail)
             )
     if bad_paths:
-        census.fail("conservation", None, f"{bad_paths} bad paths")
-    return census
+        failures["conservation"].append((None, f"{bad_paths} bad paths"))
+    return mountain_census, brute, unit_down_census, failures
 
 
 def _unit_down_failures(max_length: int, brute: list[int]) -> _Failures:
@@ -334,9 +327,8 @@ def timed_checks(max_length: int = 12) -> tuple[float, list[CheckResult]]:
     if max_length < 0:
         raise ValueError("max length must be >= 0")
     start = time.perf_counter()
-    census = _take_census(max_length)
+    mountains, brute, unit_down, failed = _take_census(max_length)
     census_seconds = time.perf_counter() - start
-    failed = census.failures
     within = f"(n <= {max_length})"
     checks = [
         (
@@ -352,7 +344,7 @@ def timed_checks(max_length: int = 12) -> tuple[float, list[CheckResult]]:
         (
             "paths: unit-down restriction counts F(2n-1) and matches its series "
             f"(2n <= {max_length})",
-            _unit_down_failures(max_length, census.unit_down),
+            _unit_down_failures(max_length, unit_down),
         ),
         (
             f"paths: mountain census matches the binomial count and F(k-1) (k <= {max_length})",
@@ -377,11 +369,11 @@ def timed_checks(max_length: int = 12) -> tuple[float, list[CheckResult]]:
         ),
         (
             f"series: with-empty coefficients equal the brute census {within}",
-            _series_vs_brute_failures(max_length, census.brute),
+            _series_vs_brute_failures(max_length, brute),
         ),
         (
             "series: mountain coefficients equal F(k-1) and the brute census",
-            _mountain_series_failures(max_length, census.mountains),
+            _mountain_series_failures(max_length, mountains),
         ),
         (
             "series: bundle form equals the geometric closure of the mountain form "
@@ -406,7 +398,7 @@ def timed_checks(max_length: int = 12) -> tuple[float, list[CheckResult]]:
         (
             f"numbers: closed count, ring evaluation, series (n <= {SEQUENCE_LIMIT}) "
             f"and brute census (n <= {max_length}) all agree",
-            _closed_count_failures(max_length, census.brute),
+            _closed_count_failures(max_length, brute),
         ),
         (
             f"numbers: mountain binomial sums equal F(k-1) (k <= {SEQUENCE_LIMIT})",

@@ -285,6 +285,43 @@ def test_tree_path_round_trip(tokens):
     assert back.stdout == tokens + "\n"
 
 
+def stdout_of(capsys, *argv):
+    """Run ``main`` in process; it must exit 0 with a quiet stderr."""
+    assert cli.main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out
+
+
+# The value checks stop where the brute routes and the listing stay
+# well under a second per length: n <= 11, and n <= 8 (147 paths) for
+# the tree and path round trips, two calls per path.
+@pytest.mark.parametrize("n", range(12))
+def test_count_table_and_list_agree(capsys, n):
+    # the four count routes, the table row and the listing of one length
+    (count,) = {
+        stdout_of(capsys, "count", "--length", str(n), "--method", method)
+        for method in ("closed", "series", "brute", "direct")
+    }
+    count = int(count)
+    row = json.loads(stdout_of(capsys, "table", "--max", "11", "--json").splitlines()[n])
+    assert row == {"n": n, "closed": count, "series": count, "brute": count, "agree": True}
+    for flag in ([], ["--json"]):
+        assert len(stdout_of(capsys, "list", "--length", str(n), *flag).splitlines()) == count
+
+
+def test_tree_then_path_gives_back_every_listed_path(capsys):
+    listed = [
+        tokens
+        for n in range(9)
+        for tokens in stdout_of(capsys, "list", "--length", str(n)).splitlines()
+    ]
+    assert len(listed) == 147
+    for tokens in listed:
+        record = stdout_of(capsys, "tree", "--path", tokens, "--json").removesuffix("\n")
+        assert stdout_of(capsys, "path", "--tree", record) == f"{tokens}\n"
+
+
 def test_gf():
     result = run_cli("gf", "--form", "with-empty", "--terms", "7")
     assert result.returncode == 0
@@ -409,6 +446,24 @@ class TestErrors:
     )
     def test_negative_length_by_method(self, capsys, method, message):
         assert cli.main(["count", "--length", "-1", "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table", "--max", "-1"], "--max must be >= 0"),
+            (["mountains", "--steps", "-1"], "--steps must be >= 0"),
+            (
+                ["path", "--tree", '{"backbone":[],"bundles":[1]}'],
+                "node 0: expected a list of hanging paths",
+            ),
+        ],
+        ids=["table", "mountains", "path"],
+    )
+    def test_domain_error(self, capsys, argv, message):
+        assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"

@@ -1,15 +1,20 @@
 """CLI stdout pinned byte for byte against the corpus in ``tests/golden``.
 
 The case table lives in ``replay_golden.py``, which also replays the
-corpus without pytest.
+corpus without pytest; the last test runs it as that script.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import replay_golden
 from deutschpaths import cli
 from replay_golden import CASES, GOLDEN, run_main
 
@@ -29,3 +34,18 @@ def test_every_subcommand_has_a_case():
     )
     unpinned = set(subparsers.choices) - {argv[0] for argv in CASES.values()}
     assert subparsers.choices and not unpinned, unpinned
+
+
+def test_the_script_replays_the_corpus_in_both_orders():
+    src = Path(__file__).parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, replay_golden.__file__],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines() == [
+        f"{len(CASES)}/{len(CASES)} golden cases match ({label} pass)"
+        for label in ("first", "reversed")
+    ]

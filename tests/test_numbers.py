@@ -53,6 +53,20 @@ class TestSequences:
     def test_half_companion_values(self):
         assert [half_companion_pell(n) for n in range(7)] == [1, 1, 3, 7, 17, 41, 99]
 
+    @pytest.mark.parametrize(
+        "sequence",
+        [
+            pell,
+            half_companion_pell,
+            binet_pell,
+            binet_half_companion,
+            count_nondecreasing_quadratic,
+        ],
+    )
+    def test_negative_index_rejected(self, sequence):
+        with pytest.raises(ValueError, match="^defined for n >= 0 only$"):
+            sequence(-1)
+
     @pytest.mark.parametrize("n", range(64))
     def test_binet_matches_recurrence(self, n):
         assert binet_pell(n) == pell(n)
@@ -74,6 +88,8 @@ class TestQuadraticNumber:
     def test_powers(self):
         assert SILVER_RATIO ** 2 == QuadraticNumber(3, 2)
         assert SILVER_RATIO ** 0 == QuadraticNumber(1, 0)
+        with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+            QuadraticNumber(1) ** -1
 
     def test_power_squares_only_while_bits_remain(self, monkeypatch):
         products = 0
@@ -284,6 +300,13 @@ class TestTilings:
     def test_square_first(self, n):
         square_first = [t for t in enumerate_tilings(n) if t[0] is Piece.SQUARE]
         assert len(square_first) == count_square_first_tilings(n) == fibonacci(n)
+
+    @pytest.mark.parametrize(
+        "tilings", [enumerate_tilings, count_tilings, count_square_first_tilings]
+    )
+    def test_negative_length_rejected(self, tilings):
+        with pytest.raises(ValueError, match="^length must be >= 0$"):
+            tilings(-1)
 
     def test_square_first_of_zero(self):
         assert count_square_first_tilings(0) == 0

@@ -143,8 +143,12 @@ class TestParsing:
         assert paths._down.cache_info().currsize == before
 
     def test_down_size_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^down-step size must be >= 1, got 0$"):
             Down(0)
+        # True == 1 and 1.0 == 1, but neither renders as D1
+        for size in (True, 1.0, 2.5):
+            with pytest.raises(ValueError, match=f"^down-step size must be an int, got {size}$"):
+                Down(size)
 
     def test_down_token_is_neither_shown_nor_compared(self):
         assert repr(Down(3)) == "Down(size=3)"
@@ -520,6 +524,14 @@ class TestDecomposition:
             Decomposition(2, ((), ()), (1,))
         with pytest.raises(ValueError):
             Decomposition(1, ((),), ())
+        with pytest.raises(ValueError, match="^height must be >= 0$"):
+            Decomposition(-1, (), ())
+
+    def test_compose_refuses_a_part_that_is_not_an_int(self):
+        # 1.0 sums to the height, but its step would render as D1.0
+        with pytest.raises(ValueError, match="^down-step size must be an int, got 1.0$"):
+            compose(Decomposition(1, ((),), (1.0,)))
+        assert render_path(compose(Decomposition(1, ((),), (1,)))) == "U D1"
 
     def test_round_trip_paths(self):
         for n in range(11):

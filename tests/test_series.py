@@ -89,6 +89,12 @@ class TestTruncatedSeries:
         with pytest.raises(ZeroConstantTermError):
             (1 - z) / z
 
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ValueError, match="^order must be >= 0$"):
+            TruncatedSeries([1], -1)
+        with pytest.raises(ValueError, match="^need at least one coefficient or an explicit order$"):
+            TruncatedSeries([])
+
     def test_truncate_pads_and_trims(self):
         a = _series([1, 2], order=4)
         assert a.coefficients == (1, 2, 0, 0, 0)

@@ -201,6 +201,25 @@ FAULTS = {
             ),
         },
     ),
+    "tree-round-trip.collision": (
+        trees,
+        "path_to_tree",
+        wrong_on(
+            paths.parse_path("U U D2 U D1"),
+            lambda tree: trees.path_to_tree(paths.parse_path("U U U D2 D1")),
+        ),
+        {
+            # decoding fails on the same path, after the collision
+            "tree-round-trip": (
+                "trees: distinct paths map to distinct trees",
+                "collision at length 5",
+            ),
+            "tree-count": (
+                "trees: trees of weight n are equinumerous with the paths",
+                "n=5: 5",
+            ),
+        },
+    ),
     "tree-weight": (
         trees,
         "tree_statistics",
@@ -584,12 +603,20 @@ def test_mountain_series_reads_the_whole_census(wrong):
     assert list(verify._mountain_series_failures(14, census)) == [(None, "")]
 
 
-def test_closed_count_reads_a_census_past_the_series():
+def test_closed_count_reads_a_census_past_the_series(monkeypatch):
     # the series stops at n = 64; the census is compared with the closed counts
     top = verify.SEQUENCE_LIMIT + 1
     census = [numbers.count_nondecreasing_closed(n) for n in range(top + 1)]
     assert list(verify._closed_count_failures(top, census)) == []
-    census[top] += 1
+    wrong = [*census[:top], census[top] + 1]
+    assert list(verify._closed_count_failures(top, wrong)) == [
+        ("numbers: closed count equals the brute census", f"brute {wrong}")
+    ]
+    # a closed route that raises past the series fails a correct census
+    ring = numbers.count_nondecreasing_quadratic
+    monkeypatch.setattr(
+        numbers, "count_nondecreasing_quadratic", wrong_on(top, lambda c: c + 1)(ring)
+    )
     assert list(verify._closed_count_failures(top, census)) == [
         ("numbers: closed count equals the brute census", f"brute {census}")
     ]
