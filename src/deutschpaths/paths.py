@@ -270,23 +270,22 @@ def is_nondecreasing(path: DeutschPath) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Mountain:
-    """A rise of ``ups`` unit steps followed only by down-steps.
+    """A rise of unit up-steps followed only by the down-steps ``descent``.
 
-    The descent is a composition of ``ups``, so a mountain returns to
-    its base level and stays strictly above it in between.  Its length
-    is ``ups + len(descent)``.
+    The descent is a nonempty composition, and the rise, ``ups``, is its
+    total, so a mountain returns to its base level and stays strictly
+    above it in between.  Its length is ``ups + len(descent)``.
     """
 
-    ups: int
     descent: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.ups < 1:
-            raise ValueError("a mountain must rise at least one level")
-        if not self.descent or any(d < 1 for d in self.descent):
-            raise ValueError("descent parts must be positive integers")
-        if sum(self.descent) != self.ups:
-            raise ValueError("descent must sum to the rise")
+        if not self.descent or any(type(d) is not int or d < 1 for d in self.descent):
+            raise ValueError(f"descent parts must be ints >= 1, got {self.descent!r}")
+
+    @property
+    def ups(self) -> int:
+        return sum(self.descent)
 
 
 def as_mountain(path: DeutschPath) -> Mountain | None:
@@ -299,7 +298,7 @@ def as_mountain(path: DeutschPath) -> Mountain | None:
     if valley_levels(path) or not path.steps:
         return None
     ups = sum(s is UP for s in path.steps)
-    return Mountain(ups, tuple(s.size for s in path.steps[ups:]))
+    return Mountain(tuple(s.size for s in path.steps[ups:]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,26 +306,26 @@ class Decomposition:
     """Canonical split of a path whose valley levels never decrease.
 
     ``bundles[i]`` lists the mountains based at level ``i`` in walking
-    order, one entry per level 0 .. height-1.  After the mountains at
-    level ``i`` the path climbs one backbone up-step, and after the last
-    backbone step it takes the home run, a final descent recorded as a
-    composition of ``height``.  Height 0 encodes the empty path.
+    order, one entry per level 0 .. height-1, so the ``height`` is the
+    number of bundles.  After the mountains at level ``i`` the path
+    climbs one backbone up-step, and after the last backbone step it
+    takes the home run, a final descent recorded as a composition of
+    the height.  No bundles and no home run encode the empty path.
     """
 
-    height: int
     bundles: tuple[tuple[Mountain, ...], ...]
     homerun: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.height < 0:
-            raise ValueError("height must be >= 0")
-        if len(self.bundles) != self.height:
-            raise ValueError("need exactly one bundle per level below the height")
-        if self.height == 0:
-            if self.homerun:
-                raise ValueError("the empty decomposition has no home run")
-        elif not self.homerun or any(d < 1 for d in self.homerun) or sum(self.homerun) != self.height:
+        if any(type(m) is not Mountain for bundle in self.bundles for m in bundle):
+            raise ValueError("bundles must hold only mountains")
+        parts = self.homerun
+        if any(type(d) is not int or d < 1 for d in parts) or sum(parts) != len(self.bundles):
             raise ValueError("home run must be a composition of the height")
+
+    @property
+    def height(self) -> int:
+        return len(self.bundles)
 
 
 def decompose(path: DeutschPath) -> Decomposition:
@@ -338,8 +337,8 @@ def decompose(path: DeutschPath) -> Decomposition:
     valley level form the backbone.  Raises
     :class:`NotNonDecreasingError` when the valley levels dip.
 
-    >>> decompose(parse_path("U U D2 U D1")).homerun
-    (1,)
+    >>> decompose(parse_path("U U D2 U D1"))
+    Decomposition(bundles=((Mountain(descent=(2,)),),), homerun=(1,))
     """
     validate(path)
     # alternating up- and down-runs; the last down-run is the home run
@@ -355,9 +354,9 @@ def decompose(path: DeutschPath) -> Decomposition:
         # valleys that never dip all lie below the height
         if not level <= base < height:
             raise NotNonDecreasingError(f"valley levels decrease in {render_path(path)!r}")
-        bundles[base].append(Mountain(fall, descent))
+        bundles[base].append(Mountain(descent))
         level = base
-    return Decomposition(height, tuple(map(tuple, bundles)), homerun)
+    return Decomposition(tuple(map(tuple, bundles)), homerun)
 
 
 def compose(dec: Decomposition) -> DeutschPath:
@@ -393,7 +392,6 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
         new, set_steps = object.__new__, DeutschPath.steps.__set__
         # lexicographic successor in a loop: no frame per step to run out of
         steps: list[Step] = []
-        before: list[int] = []  # the level before each kept step
         height = 0  # level after the steps kept
         while True:
             # the least completion climbs, then falls home in one step
@@ -401,7 +399,7 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
             if left:
                 steps += [UP] * (left - 1)
                 steps.append(_down(height + left - 1))
-                before += range(height, height + left)
+                height = 0
             path = new(DeutschPath)
             set_steps(path, tuple(steps))
             yield path
@@ -410,14 +408,13 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
             # when one step follows (the last step, lowered, always sinks)
             while steps:
                 step = steps.pop()
-                height = before.pop()
+                height -= 1 if step is UP else -step.size  # the level before it
                 size = 1 if step is UP else step.size + 1
                 if height - size >= (len(steps) == n - 2):
                     break
             else:
                 return
             steps.append(_down(size))
-            before.append(height)
             height -= size
 
     # no single step can leave the ground and come back to it
@@ -440,7 +437,7 @@ def _compositions_exact(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def _mountains_of_length(length: int) -> list[Mountain]:
-    return [Mountain(u, d) for u in range(1, length) for d in _compositions_exact(u, length - u)]
+    return [Mountain(d) for u in range(1, length) for d in _compositions_exact(u, length - u)]
 
 
 def _mountain_runs(total: int) -> Iterator[tuple[Mountain, ...]]:
@@ -468,9 +465,9 @@ def iter_decompositions(total_length: int) -> Iterator[Decomposition]:
     if total_length < 0:
         raise ValueError("length must be >= 0")
     if total_length == 0:
-        return iter((Decomposition(0, (), ()),))
+        return iter((Decomposition((), ()),))
     return (
-        Decomposition(height, tuple(run[a:b] for a, b in pairwise((0, *cuts, len(run)))), homerun)
+        Decomposition(tuple(run[a:b] for a, b in pairwise((0, *cuts, len(run)))), homerun)
         for height in range(1, total_length)
         for parts in range(1, min(height, total_length - height) + 1)
         for homerun in _compositions_exact(height, parts)

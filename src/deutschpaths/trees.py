@@ -79,9 +79,14 @@ class MarkedTree:
 
 @dataclass(frozen=True, slots=True)
 class TreeStats:
+    """A tree's edge and double counts; its ``weight`` is their sum."""
+
     edge_count: int
     double_count: int
-    weight: int
+
+    @property
+    def weight(self) -> int:
+        return self.edge_count + self.double_count
 
 
 def composition_to_marks(parts: tuple[int, ...]) -> tuple[EdgeMark, ...]:
@@ -93,8 +98,8 @@ def composition_to_marks(parts: tuple[int, ...]) -> tuple[EdgeMark, ...]:
     """
     marks: list[EdgeMark] = []
     for part in parts:
-        if part < 1:
-            raise ValueError("composition parts must be positive")
+        if type(part) is not int or part < 1:
+            raise ValueError(f"composition parts must be ints >= 1, got {part!r}")
         marks.extend([EdgeMark.SINGLE] * (part - 1))
         marks.append(EdgeMark.DOUBLE)
     return tuple(marks)
@@ -163,13 +168,9 @@ def tree_to_path(tree: MarkedTree) -> DeutschPath:
         raise TreeInvariantError(problems)
     homerun = marks_to_composition(tree.backbone)
     bundles = tuple(
-        tuple(
-            Mountain(sum(descent), descent)
-            for descent in (marks_to_composition(h) for h in bundle)
-        )
-        for bundle in tree.bundles
+        tuple(Mountain(marks_to_composition(h)) for h in bundle) for bundle in tree.bundles
     )
-    return compose(Decomposition(len(tree.backbone), bundles, homerun))
+    return compose(Decomposition(bundles, homerun))
 
 
 def tree_statistics(tree: MarkedTree) -> TreeStats:
@@ -177,7 +178,7 @@ def tree_statistics(tree: MarkedTree) -> TreeStats:
     runs = (tree.backbone, *(run for bundle in tree.bundles for run in bundle))
     edges = sum(map(len, runs))
     doubles = sum(run.count(EdgeMark.DOUBLE) for run in runs)
-    return TreeStats(edge_count=edges, double_count=doubles, weight=edges + doubles)
+    return TreeStats(edge_count=edges, double_count=doubles)
 
 
 def tree_to_json(tree: MarkedTree) -> str:

@@ -339,8 +339,8 @@ class TestValleys:
 
 class TestMountains:
     def test_examples(self):
-        assert as_mountain(parse_path("U U D1 D1")) == Mountain(2, (1, 1))
-        assert as_mountain(parse_path("U U U D2 D1")) == Mountain(3, (2, 1))
+        assert as_mountain(parse_path("U U D1 D1")) == Mountain((1, 1))
+        assert as_mountain(parse_path("U U U D2 D1")) == Mountain((2, 1))
         assert as_mountain(parse_path("U D1 U D1")) is None
         assert as_mountain(parse_path("")) is None
 
@@ -354,12 +354,11 @@ class TestMountains:
                     assert mountain.ups == shape.count("U")
 
     def test_mountain_invariants(self):
-        with pytest.raises(ValueError):
-            Mountain(0, ())
-        with pytest.raises(ValueError):
-            Mountain(2, (1,))
-        with pytest.raises(ValueError):
-            Mountain(2, (3, -1))
+        # the rise is the descent's total, so only the descent can be wrong
+        for descent in ((), (0,), (3, -1), (1.0,), (True,), ("1",)):
+            with pytest.raises(ValueError, match="^descent parts must be ints >= 1, got "):
+                Mountain(descent)
+        assert Mountain((2, 1)).ups == 3
 
 
 class TestEnumeration:
@@ -482,13 +481,13 @@ class TestDecomposition:
 
     def test_example_bundles(self):
         dec = decompose(parse_path("U D1 U U D2"))
-        assert dec.bundles == ((Mountain(1, (1,)),), ())
+        assert dec.bundles == ((Mountain((1,)),), ())
         dec = decompose(parse_path("U U D2 U D1"))
-        assert dec.bundles == ((Mountain(2, (2,)),),)
+        assert dec.bundles == ((Mountain((2,)),),)
 
     def test_empty_path(self):
-        assert decompose(DeutschPath()) == Decomposition(0, (), ())
-        assert compose(Decomposition(0, (), ())) == DeutschPath()
+        assert decompose(DeutschPath()) == Decomposition((), ())
+        assert compose(Decomposition((), ())) == DeutschPath()
 
     @pytest.mark.parametrize(
         "height,homerun,expected",
@@ -498,7 +497,7 @@ class TestDecomposition:
         ],
     )
     def test_compose_staircases(self, height, homerun, expected):
-        dec = Decomposition(height, ((),) * height, homerun)
+        dec = Decomposition(((),) * height, homerun)
         assert render_path(compose(dec)) == expected
 
     def test_decompose_rejects_falling_valleys(self):
@@ -516,22 +515,25 @@ class TestDecomposition:
                         decompose(p)
 
     def test_decomposition_invariants(self):
-        with pytest.raises(ValueError):
-            Decomposition(0, (), (1,))
-        with pytest.raises(ValueError):
-            Decomposition(2, ((),), (2,))
-        with pytest.raises(ValueError):
-            Decomposition(2, ((), ()), (1,))
-        with pytest.raises(ValueError):
-            Decomposition(1, ((),), ())
-        with pytest.raises(ValueError, match="^height must be >= 0$"):
-            Decomposition(-1, (), ())
+        # the height is the number of bundles, and the home run composes it
+        message = "^home run must be a composition of the height$"
+        for bundles, homerun in (((), (1,)), (((),), (2,)), (((), ()), (1,)), (((),), ())):
+            with pytest.raises(ValueError, match=message):
+                Decomposition(bundles, homerun)
 
     def test_compose_refuses_a_part_that_is_not_an_int(self):
-        # 1.0 sums to the height, but its step would render as D1.0
-        with pytest.raises(ValueError, match="^down-step size must be an int, got 1.0$"):
-            compose(Decomposition(1, ((),), (1.0,)))
-        assert render_path(compose(Decomposition(1, ((),), (1,)))) == "U D1"
+        # 1.0 sums to the height, but its step would render as D1.0, so the
+        # decomposition refuses it when it is built
+        for part in (1.0, True, "1"):
+            with pytest.raises(ValueError, match="^home run must be a composition of the height$"):
+                Decomposition(((),), (part,))
+        assert render_path(compose(Decomposition(((),), (1,)))) == "U D1"
+
+    def test_decomposition_refuses_a_bundle_entry_that_is_not_a_mountain(self):
+        for entry in (1, (1,), None):
+            with pytest.raises(ValueError, match="^bundles must hold only mountains$"):
+                Decomposition(((entry,),), (1,))
+        assert Decomposition(((Mountain((1,)),),), (1,)).height == 1
 
     def test_round_trip_paths(self):
         for n in range(11):
@@ -567,8 +569,8 @@ class TestDecomposition:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
         )
         assert result.returncode == 0, result.stderr
-        peaks = (Mountain(1, (1,)),) * 2499
-        assert result.stdout == repr(Decomposition(1, (peaks,), (1,))) + "\n"
+        peaks = (Mountain((1,)),) * 2499
+        assert result.stdout == repr(Decomposition((peaks,), (1,))) + "\n"
 
     def test_mountains_never_sit_at_the_top_level(self):
         # the home run follows the last backbone step immediately

@@ -58,3 +58,22 @@ def test_steps_are_told_apart_by_identity():
         if name in {"Up", "Down"}
     ]
     assert found == []
+
+
+def test_every_dataclass_is_frozen():
+    # the census keys a dict on MarkedTree and the tests count
+    # decompositions with Counter, so every record hashes by value
+    count, thawed = 0, []
+    for source in SOURCES:
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            for decorator in node.decorator_list if isinstance(node, ast.ClassDef) else ():
+                call = decorator if isinstance(decorator, ast.Call) else ast.Call(decorator, [], [])
+                if getattr(call.func, "id", None) == "dataclass":
+                    count += 1
+                    if not any(
+                        k.arg == "frozen" and getattr(k.value, "value", None) is True
+                        for k in call.keywords
+                    ):
+                        thawed.append(f"{source.name}:{node.lineno}")
+    assert count == 9
+    assert thawed == []

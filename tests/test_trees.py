@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
 from itertools import pairwise
 
 import pytest
@@ -16,6 +18,7 @@ from deutschpaths import (
     Mountain,
     TreeInvariantError,
     TreeRecordError,
+    TreeStats,
     compose,
     composition_to_marks,
     decompose,
@@ -76,8 +79,11 @@ class TestMarkCodes:
             marks_to_composition((S,))
 
     def test_bad_parts(self):
-        with pytest.raises(ValueError):
-            composition_to_marks((2, 0))
+        # a part whose type is not exactly int is refused, bool included
+        for part in (0, -1, 1.0, True, "1"):
+            message = f"^composition parts must be ints >= 1, got {re.escape(repr(part))}$"
+            with pytest.raises(ValueError, match=message):
+                composition_to_marks((2, part))
 
     @given(st.lists(st.integers(1, 6), max_size=8).map(tuple))
     def test_codes_invert(self, parts):
@@ -259,12 +265,12 @@ def decompositions(draw):
         if left - size == 1:
             size = left
         ups = draw(st.integers((size + 1) // 2, size - 1))
-        run.append(Mountain(ups, _composition(draw, ups, size - ups)))
+        run.append(Mountain(_composition(draw, ups, size - ups)))
         left -= size
     points = st.integers(0, len(run))
     cuts = sorted(draw(st.lists(points, min_size=height - 1, max_size=height - 1)))
     bundles = tuple(tuple(run[a:b]) for a, b in pairwise((0, *cuts, len(run))))
-    return Decomposition(height, bundles, homerun), n
+    return Decomposition(bundles, homerun), n
 
 
 class TestRandomDecompositions:
@@ -285,3 +291,21 @@ class TestRandomDecompositions:
         stats = tree_statistics(tree)
         ups = sum(s is UP for s in path.steps)
         assert (stats.weight, stats.edge_count, stats.double_count) == (n, ups, n - ups)
+        # the derived values read the same as the fields they come from
+        assert all(m.ups == sum(m.descent) for bundle in dec.bundles for m in bundle)
+        assert dec.height == len(dec.bundles) == sum(dec.homerun)
+        assert stats.weight == stats.edge_count + stats.double_count
+
+
+@pytest.mark.parametrize(
+    "record,fields,derived",
+    [
+        (Mountain, ("descent",), "ups"),
+        (Decomposition, ("bundles", "homerun"), "height"),
+        (TreeStats, ("edge_count", "double_count"), "weight"),
+    ],
+)
+def test_records_hold_only_what_they_cannot_derive(record, fields, derived):
+    assert tuple(f.name for f in dataclasses.fields(record)) == fields
+    prop = getattr(record, derived)
+    assert isinstance(prop, property) and prop.fset is None

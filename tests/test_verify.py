@@ -149,7 +149,7 @@ FAULTS = {
             "compose-decompose": ("paths: compose inverts decompose", "failed on 'U U D1 D1'"),
             "decompose-compose": (
                 "paths: decompose inverts compose",
-                "failed at length 4 on Decomposition(height=2, bundles=((), ()), homerun=(1, 1))",
+                "failed at length 4 on Decomposition(bundles=((), ()), homerun=(1, 1))",
             ),
         },
     ),
@@ -160,7 +160,7 @@ FAULTS = {
         {
             "decompose-compose": (
                 "paths: decompose inverts compose",
-                "failed at length 3 on Decomposition(height=2, bundles=((), ()), homerun=[2])",
+                "failed at length 3 on Decomposition(bundles=((), ()), homerun=[2])",
             ),
         },
     ),
@@ -360,7 +360,7 @@ FAULTS = {
         "tree_statistics",
         wrong_on(
             trees.path_to_tree(paths.parse_path("U U D2 U D1")),
-            lambda s: dataclasses.replace(s, weight=s.weight + 1),
+            lambda s: dataclasses.replace(s, edge_count=s.edge_count + 1),
         ),
         {
             "tree-weight": ("trees: weight equals path length", "failed on 'U U D2 U D1'"),
