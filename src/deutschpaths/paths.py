@@ -125,10 +125,6 @@ def _down(size: int) -> Down:
     return Down(size)
 
 
-def _rise(step: Step) -> int:
-    return 1 if step is UP else -step.size
-
-
 @dataclass(frozen=True, slots=True)
 class DeutschPath:
     """Immutable step sequence, not necessarily validated."""
@@ -137,7 +133,7 @@ class DeutschPath:
 
     def sort_key(self) -> tuple[int, ...]:
         """Key realising the canonical order: U < D1 < D2 < ... is falling rise."""
-        return tuple(-_rise(s) for s in self.steps)
+        return tuple(-1 if s is UP else s.size for s in self.steps)
 
 
 _DOWN_TOKEN = re.compile(r"D([1-9][0-9]*)\Z")
@@ -226,7 +222,7 @@ def heights(path: DeutschPath) -> tuple[int, ...]:
     out = []
     height = 0
     for step in path.steps:
-        height += _rise(step)
+        height += 1 if step is UP else -step.size
         out.append(height)
     return tuple(out)
 
@@ -280,6 +276,8 @@ class Mountain:
     descent: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.descent) is not tuple:
+            raise ValueError(f"descent must be a tuple, got {self.descent!r}")
         if not self.descent or any(type(d) is not int or d < 1 for d in self.descent):
             raise ValueError(f"descent parts must be ints >= 1, got {self.descent!r}")
 
@@ -317,9 +315,19 @@ class Decomposition:
     homerun: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(type(m) is not Mountain for bundle in self.bundles for m in bundle):
-            raise ValueError("bundles must hold only mountains")
+        # tuples all through, so that a decomposition hashes; plain loops,
+        # as `count --method direct` builds one decomposition per path
+        if type(self.bundles) is not tuple:
+            raise ValueError("bundles must be a tuple of tuples")
+        for bundle in self.bundles:
+            if type(bundle) is not tuple:
+                raise ValueError("bundles must be a tuple of tuples")
+            for m in bundle:
+                if type(m) is not Mountain:
+                    raise ValueError("bundles must hold only mountains")
         parts = self.homerun
+        if type(parts) is not tuple:
+            raise ValueError(f"homerun must be a tuple, got {parts!r}")
         if any(type(d) is not int or d < 1 for d in parts) or sum(parts) != len(self.bundles):
             raise ValueError("home run must be a composition of the height")
 
@@ -375,12 +383,21 @@ def compose(dec: Decomposition) -> DeutschPath:
     return validate(DeutschPath(tuple(steps)))
 
 
+def _endings(height: int) -> Iterator[tuple[Step, Step]]:
+    # the two last steps home from a level, in canonical order: a rise
+    # and the fall home, then each fall that keeps above the ground
+    yield UP, _down(height + 1)
+    for size in range(1, height):
+        yield _down(size), _down(height - size)
+
+
 def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
     """Yield every validated path of length ``n`` once, in canonical order.
 
     The stream is lexicographic on tokens with U < D1 < D2 < ..., so it
-    opens with the all-up prefix.  Generation is lazy; nothing is
-    materialised.
+    opens with the all-up prefix.  Generation is lazy: the walk keeps
+    only its current steps and the two-step endings of the levels it
+    has met.
     """
     if n < 0:
         raise ValueError("length must be >= 0")
@@ -390,42 +407,60 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
         # nothing: object.__new__ and the slot setter are C calls, and a
         # helper around them would cost as much as the __init__ it skips
         new, set_steps = object.__new__, DeutschPath.steps.__set__
-        # lexicographic successor in a loop: no frame per step to run out of
+        # the lexicographic successor of the first n - 2 steps, in a loop:
+        # no frame per step to run out of.  A prefix that stays on or above
+        # the ground finishes by the endings of its level, so each level's
+        # are listed once, as the first prefix there yields them, and
+        # reused.  They live in this walk: a list shared across walks
+        # would be left half built by a walk abandoned inside it.
+        last = n - 2
+        known: dict[int, list[tuple[Step, Step]]] = {}
         steps: list[Step] = []
         height = 0  # level after the steps kept
         while True:
-            # the least completion climbs, then falls home in one step
-            left = n - len(steps)
-            if left:
-                steps += [UP] * (left - 1)
-                steps.append(_down(height + left - 1))
-                height = 0
-            path = new(DeutschPath)
-            set_steps(path, tuple(steps))
-            yield path
+            # the least completion climbs
+            left = last - len(steps)
+            steps += [UP] * left
+            height += left
+            prefix = tuple(steps)
+            listed = known.get(height)
+            if listed is None:
+                listed = known[height] = []
+                for ending in _endings(height):
+                    listed.append(ending)
+                    path = new(DeutschPath)
+                    set_steps(path, prefix + ending)
+                    yield path
+            else:
+                for ending in listed:
+                    path = new(DeutschPath)
+                    set_steps(path, prefix + ending)
+                    yield path
             # the last step that can fall one level further and still
-            # finish: it must land on or above the ground, and above it
-            # when one step follows (the last step, lowered, always sinks)
+            # land on or above the ground
             while steps:
                 step = steps.pop()
                 height -= 1 if step is UP else -step.size  # the level before it
                 size = 1 if step is UP else step.size + 1
-                if height - size >= (len(steps) == n - 2):
+                if height >= size:
                     break
             else:
                 return
             steps.append(_down(size))
             height -= size
 
-    # no single step can leave the ground and come back to it
-    return walk() if n != 1 else iter(())
+    # the empty path is the one of length 0, and no single step can
+    # leave the ground and come back to it
+    if n < 2:
+        return iter(() if n else (DeutschPath(),))
+    return walk()
 
 
 def enumerate_nondecreasing_filter(n: int) -> Iterator[DeutschPath]:
     """Brute-force stream: every length-``n`` path that keeps its valleys
     weakly increasing, in canonical order.  Each candidate is validated
     in full, which is what makes this the reference oracle."""
-    return (p for p in enumerate_deutsch(n) if is_nondecreasing(p))
+    return filter(is_nondecreasing, enumerate_deutsch(n))
 
 
 def _compositions_exact(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -68,13 +68,26 @@ class MarkedTree:
 
     ``backbone[i]`` marks the edge from backbone node i to node i+1 and
     ``bundles[i]`` holds the hanging paths attached at node i, each a
-    nonempty mark sequence.  Validity is checked by
-    :func:`validate_tree`, not by the constructor, so invalid trees can
-    be built and inspected.
+    nonempty mark sequence.  The constructor checks only that every
+    field is held in tuples, so that a tree hashes; validity is checked
+    by :func:`validate_tree`, so invalid trees can be built and
+    inspected.
     """
 
     backbone: tuple[EdgeMark, ...] = ()
     bundles: tuple[tuple[tuple[EdgeMark, ...], ...], ...] = ()
+
+    def __post_init__(self) -> None:
+        if type(self.backbone) is not tuple:
+            raise ValueError("backbone must be a tuple")
+        if type(self.bundles) is not tuple:
+            raise ValueError("bundles and their hanging paths must be tuples")
+        for bundle in self.bundles:
+            if type(bundle) is not tuple:
+                raise ValueError("bundles and their hanging paths must be tuples")
+            for hanging in bundle:
+                if type(hanging) is not tuple:
+                    raise ValueError("bundles and their hanging paths must be tuples")
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,11 +148,10 @@ def validate_tree(tree: MarkedTree) -> list[str]:
         problems.append("backbone: last mark must be a double")
     for node, bundle in enumerate(tree.bundles):
         for slot, hanging in enumerate(bundle):
-            where = f"node {node}, hanging path {slot}"
             if not hanging:
-                problems.append(f"{where}: must be nonempty")
+                problems.append(f"node {node}, hanging path {slot}: must be nonempty")
             elif hanging[-1] is not EdgeMark.DOUBLE:
-                problems.append(f"{where}: last mark must be a double")
+                problems.append(f"node {node}, hanging path {slot}: last mark must be a double")
     return problems
 
 

@@ -358,22 +358,47 @@ class TestMountains:
         for descent in ((), (0,), (3, -1), (1.0,), (True,), ("1",)):
             with pytest.raises(ValueError, match="^descent parts must be ints >= 1, got "):
                 Mountain(descent)
+        # a list would build a frozen record that cannot be hashed
+        for descent in ([1], [2, 1], range(1, 2)):
+            with pytest.raises(ValueError, match="^descent must be a tuple, got "):
+                Mountain(descent)
         assert Mountain((2, 1)).ups == 3
+        assert hash(Mountain((1,))) == hash(Mountain((1,)))
 
 
 class TestEnumeration:
     def test_small_streams(self):
         assert list(enumerate_deutsch(0)) == [DeutschPath()]
         assert list(enumerate_deutsch(1)) == []
+        # the walk finishes the empty prefix
+        assert [render_path(p) for p in enumerate_deutsch(2)] == ["U D1"]
         assert [render_path(p) for p in enumerate_deutsch(3)] == ["U U D2"]
 
     def test_length_four_census(self):
-        # canonical order puts the all-up prefix first
+        # canonical order puts the all-up prefix first; the prefix U D1
+        # is on the ground, where the two last steps can only rise and
+        # fall home
         assert [render_path(p) for p in enumerate_deutsch(4)] == [
             "U U U D3",
             "U U D1 D1",
             "U D1 U D1",
         ]
+
+    @pytest.mark.parametrize("n", [17, 70])
+    def test_walks_of_one_length_share_nothing(self, n):
+        # every walk lists its own endings, so a walk stopped partway
+        # through the endings of a level leaves the next walk whole (a
+        # length no other test walks, so that this walk is the first)
+        abandoned = enumerate_deutsch(n)
+        assert next(abandoned).steps[-2:] == (UP, Down(n - 1))  # the first of level n - 2
+        next(abandoned)
+        abandoned.close()
+        alone = list(islice(enumerate_deutsch(n), 3000))
+        rank = _lex_rank(n)
+        assert [rank(p) for p in alone] == list(range(3000))
+        # and two walks read in step give one stream
+        interleaved = list(islice(zip(enumerate_deutsch(n), enumerate_deutsch(n)), 3000))
+        assert [a for a, _ in interleaved] == [b for _, b in interleaved] == alone
 
     def test_canonical_order_is_sorted(self):
         for n in range(11):
@@ -533,7 +558,16 @@ class TestDecomposition:
         for entry in (1, (1,), None):
             with pytest.raises(ValueError, match="^bundles must hold only mountains$"):
                 Decomposition(((entry,),), (1,))
-        assert Decomposition(((Mountain((1,)),),), (1,)).height == 1
+        # bundles and home run are tuples all through, so a decomposition hashes
+        for bundles in ((5,), [()], ([],), ([Mountain((1,))],)):
+            with pytest.raises(ValueError, match="^bundles must be a tuple of tuples$"):
+                Decomposition(bundles, (1,))
+        for homerun in ([1], range(1, 2)):
+            with pytest.raises(ValueError, match="^homerun must be a tuple, got "):
+                Decomposition(((),), homerun)
+        dec = Decomposition(((Mountain((1,)),),), (1,))
+        assert dec.height == 1
+        assert hash(dec) == hash(Decomposition(((Mountain((1,)),),), (1,)))
 
     def test_round_trip_paths(self):
         for n in range(11):

@@ -174,11 +174,23 @@ class TestValidation:
 
     def test_hanging_paths_must_end_double(self):
         problems = validate_tree(_tree([D], [[[S]]]))
-        assert problems and "node 0" in problems[0]
+        assert problems == ["node 0, hanging path 0: last mark must be a double"]
+        problems = validate_tree(_tree([S, D], [[], [[D], [D, S]]]))
+        assert problems == ["node 1, hanging path 1: last mark must be a double"]
 
     def test_hanging_paths_must_be_nonempty(self):
         problems = validate_tree(_tree([D], [[[]]]))
-        assert problems and "nonempty" in problems[0]
+        assert problems == ["node 0, hanging path 0: must be nonempty"]
+
+    def test_tree_refuses_a_field_that_is_not_a_tuple(self):
+        # a list would build a frozen tree that cannot key the census dict
+        with pytest.raises(ValueError, match="^backbone must be a tuple$"):
+            MarkedTree([D], ((),))
+        for bundles in ([()], ([],), (([D],),), ((), [()])):
+            with pytest.raises(ValueError, match="^bundles and their hanging paths must be tuples$"):
+                MarkedTree((S, D), bundles)
+        tree = MarkedTree((D,), (((D,),),))
+        assert hash(tree) == hash(_tree([D], [[[D]]]))
 
     def test_bundle_count_must_match(self):
         problems = validate_tree(MarkedTree((D,), ()))

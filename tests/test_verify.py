@@ -66,6 +66,23 @@ def wrong_on(target, change):
     return patch
 
 
+def wrong_first_on(target, change):
+    """Like ``wrong_on``, but only the first call on ``target`` answers wrongly."""
+
+    def patch(original):
+        def fake(arg):
+            answer = original(arg)
+            if arg != target or fake.missed:
+                return answer
+            fake.missed = True
+            return change(answer)
+
+        fake.missed = False
+        return fake
+
+    return patch
+
+
 def coefficient_off(form, index, by=1):
     """Patch ``gf_coefficients`` to add ``by`` to one coefficient of one form."""
 
@@ -109,10 +126,6 @@ def drop_third(stream):
     return (item for i, item in enumerate(stream) if i != 2)
 
 
-def homerun_as_list(stream):
-    return (dataclasses.replace(d, homerun=list(d.homerun)) for d in stream)
-
-
 SQUARE, DOMINO = numbers.Piece.SQUARE, numbers.Piece.DOMINO
 
 
@@ -153,14 +166,17 @@ FAULTS = {
             ),
         },
     ),
+    # every well-typed decomposition survives compose and decompose, so
+    # decompose errs, once: the census decomposes a length's composed
+    # paths before its filtered ones, and the second call is right
     "decompose-compose": (
         paths,
-        "iter_decompositions",
-        wrong_on(3, homerun_as_list),
+        "decompose",
+        wrong_first_on(paths.parse_path("U U D2"), lambda d: dataclasses.replace(d, homerun=(1, 1))),
         {
             "decompose-compose": (
                 "paths: decompose inverts compose",
-                "failed at length 3 on Decomposition(bundles=((), ()), homerun=[2])",
+                "failed at length 3 on Decomposition(bundles=((), ()), homerun=(2,))",
             ),
         },
     ),
