@@ -105,13 +105,25 @@ def _silver_pair(n: int) -> tuple[int, int]:
     return h, p
 
 
+# The scalars the exact types hold and take as operands.  Any other, a
+# float, a string or a Decimal, would round or be parsed, so it is refused.
+_EXACT_SCALARS = (int, Fraction)
+
+
+def _exact(value: object, what: str) -> Fraction | int:
+    """``value`` itself when it is an ``int`` or ``Fraction``; else ValueError naming it."""
+    if not isinstance(value, _EXACT_SCALARS):
+        raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
+    return value
+
+
 def _lifted(method):
     """Give a binary operator the operand rule of :class:`_DerivedOperators`."""
 
     @functools.wraps(method)
     def operator(self, other):
         if not isinstance(other, type(self)):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, _EXACT_SCALARS):
                 return NotImplemented
             other = self._scalar(other)
         return method(self, other)
@@ -149,7 +161,7 @@ def _coordinate(value: Fraction | int) -> Fraction | int:
     """The exact value as an ``int`` when integral, else as a ``Fraction``."""
     if type(value) is int:
         return value
-    value = Fraction(value)
+    value = _exact(value, "coordinate")
     return value.numerator if value.denominator == 1 else value
 
 

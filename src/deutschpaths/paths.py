@@ -131,6 +131,12 @@ class DeutschPath:
 
     steps: tuple[Step, ...] = ()
 
+    def __post_init__(self) -> None:
+        # a tuple, so that a path hashes and equals its twin; the steps
+        # themselves go unchecked, a pass over every parsed or composed path
+        if type(self.steps) is not tuple:
+            raise ValueError(f"steps must be a tuple, got {type(self.steps).__name__}")
+
     def sort_key(self) -> tuple[int, ...]:
         """Key realising the canonical order: U < D1 < D2 < ... is falling rise."""
         return tuple(-1 if s is UP else s.size for s in self.steps)
@@ -383,12 +389,15 @@ def compose(dec: Decomposition) -> DeutschPath:
     return validate(DeutschPath(tuple(steps)))
 
 
-def _endings(height: int) -> Iterator[tuple[Step, Step]]:
+def _endings(height: int, listed: list[tuple[Step, Step]]) -> Iterator[tuple[Step, Step]]:
     # the two last steps home from a level, in canonical order: a rise
-    # and the fall home, then each fall that keeps above the ground
-    yield UP, _down(height + 1)
+    # and the fall home, then each fall that keeps above the ground; each
+    # goes into ``listed`` as it is yielded, for the level's later prefixes
+    listed.append((UP, _down(height + 1)))
+    yield listed[-1]
     for size in range(1, height):
-        yield _down(size), _down(height - size)
+        listed.append((_down(size), _down(height - size)))
+        yield listed[-1]
 
 
 def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
@@ -423,19 +432,13 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
             steps += [UP] * left
             height += left
             prefix = tuple(steps)
-            listed = known.get(height)
-            if listed is None:
-                listed = known[height] = []
-                for ending in _endings(height):
-                    listed.append(ending)
-                    path = new(DeutschPath)
-                    set_steps(path, prefix + ending)
-                    yield path
-            else:
-                for ending in listed:
-                    path = new(DeutschPath)
-                    set_steps(path, prefix + ending)
-                    yield path
+            endings = known.get(height)
+            if endings is None:
+                endings = _endings(height, known.setdefault(height, []))
+            for ending in endings:
+                path = new(DeutschPath)
+                set_steps(path, prefix + ending)
+                yield path
             # the last step that can fall one level further and still
             # land on or above the ground
             while steps:

@@ -1,7 +1,10 @@
 """Exact formal power series and rational generating functions.
 
 No floating point is involved anywhere, and every coefficient handed
-out is a :class:`fractions.Fraction`.  A :class:`TruncatedSeries` holds
+out is a :class:`fractions.Fraction`.  Both types take their
+coefficients as ``int`` or ``Fraction`` only and refuse any other
+scalar, a float, a string or a ``Decimal``, with a ``ValueError`` that
+names it.  A :class:`TruncatedSeries` holds
 coefficients 0 through its order as ``int`` numerators over one common
 ``int`` denominator, computes on those integers, and builds a
 ``Fraction`` only for a coefficient read out; binary operations
@@ -29,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .numbers import _DerivedOperators, _lifted
+from .numbers import _DerivedOperators, _exact, _lifted
 from .paths import _RECORD_ENCODER
 
 __all__ = [
@@ -80,7 +83,7 @@ class TruncatedSeries(_DerivedOperators):
     __slots__ = ("_numerators", "_denominator")
 
     def __init__(self, coeffs: Iterable[Coeff], order: int | None = None):
-        values = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        values = [_exact(c, "coefficient") for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
@@ -222,7 +225,11 @@ class RationalGF(_DerivedOperators):
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: Sequence[Coeff], denominator: Sequence[Coeff]):
-        scale = math.lcm(*(c.denominator for c in (*numerator, *denominator)))
+        # the operators pass only ints, which skip the call to _exact
+        coeffs = (*numerator, *denominator)
+        scale = math.lcm(
+            *(1 if type(c) is int else _exact(c, "coefficient").denominator for c in coeffs)
+        )
         self.numerator, self.denominator = (
             _trimmed([c.numerator * (scale // c.denominator) for c in cs])
             for cs in (numerator, denominator)

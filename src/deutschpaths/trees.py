@@ -62,6 +62,13 @@ class EdgeMark(Enum):
     DOUBLE = "d"
 
 
+def _check_marks(marks: tuple[EdgeMark, ...], where: str) -> None:
+    # a stray "d" would pass for a single everywhere but the writers
+    for mark in marks:
+        if type(mark) is not EdgeMark:
+            raise ValueError(f"{where} marks must be EdgeMarks, got {mark!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class MarkedTree:
     """Backbone marks plus one bundle of hanging paths per backbone node.
@@ -69,9 +76,9 @@ class MarkedTree:
     ``backbone[i]`` marks the edge from backbone node i to node i+1 and
     ``bundles[i]`` holds the hanging paths attached at node i, each a
     nonempty mark sequence.  The constructor checks only that every
-    field is held in tuples, so that a tree hashes; validity is checked
-    by :func:`validate_tree`, so invalid trees can be built and
-    inspected.
+    field is held in tuples, so that a tree hashes, and that every mark
+    is an :class:`EdgeMark`; validity is checked by
+    :func:`validate_tree`, so invalid trees can be built and inspected.
     """
 
     backbone: tuple[EdgeMark, ...] = ()
@@ -80,6 +87,7 @@ class MarkedTree:
     def __post_init__(self) -> None:
         if type(self.backbone) is not tuple:
             raise ValueError("backbone must be a tuple")
+        _check_marks(self.backbone, "backbone")
         if type(self.bundles) is not tuple:
             raise ValueError("bundles and their hanging paths must be tuples")
         for bundle in self.bundles:
@@ -88,6 +96,7 @@ class MarkedTree:
             for hanging in bundle:
                 if type(hanging) is not tuple:
                     raise ValueError("bundles and their hanging paths must be tuples")
+                _check_marks(hanging, "hanging path")
 
 
 @dataclass(frozen=True, slots=True)

@@ -234,6 +234,15 @@ class TestValidation:
     def test_heights(self):
         assert heights(parse_path("U D1 U U D2")) == (1, 0, 1, 2, 0)
 
+    def test_path_refuses_steps_that_are_not_a_tuple(self):
+        # a list passes the ground rules, yet neither hashes nor equals
+        # its tuple twin, so decompose and compose would not round trip
+        for steps in ([UP, UP, Down(2), UP, Down(1)], [], range(0)):
+            with pytest.raises(ValueError, match="^steps must be a tuple, got "):
+                DeutschPath(steps)
+        path = DeutschPath((UP, UP, Down(2), UP, Down(1)))
+        assert compose(decompose(path)) == path
+
 
 def _two_walk_valley_levels(path: DeutschPath):
     # reference oracle: the ground rules on one walk, the valleys on another
@@ -441,7 +450,25 @@ class TestEnumeration:
             assert p.sort_key() == built.sort_key()
 
     def test_skipping_init_skips_no_check(self):
-        assert not hasattr(DeutschPath, "__post_init__")
+        # the walk builds its paths without __init__, so the one check
+        # there, that the steps are a tuple, must hold of each path it yields
+        for n in range(11):
+            for p in enumerate_deutsch(n):
+                p.__post_init__()
+
+    def test_the_first_path_lists_one_ending(self, monkeypatch):
+        # a level's endings are listed as the walk yields them, so the
+        # first path of a long walk builds one down-step, not the
+        # 2,995 that listing its level whole would
+        calls = []
+
+        def counted(size):
+            calls.append(size)
+            return Down(size)
+
+        monkeypatch.setattr(paths, "_down", counted)
+        assert next(enumerate_deutsch(1500)).steps[-2:] == (UP, Down(1499))
+        assert len(calls) <= 2
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import operator
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -415,6 +417,27 @@ def test_exact_types_lift_int_and_fraction(x, scalar):
         for result, expected in ((op(x, scalar), op(x, lifted)), (op(scalar, x), op(lifted, x))):
             assert type(result) is type(x)
             assert result == expected
+
+
+# every place where an exact type takes a scalar from its caller
+_HOLDERS = {
+    "QuadraticNumber a": QuadraticNumber,
+    "QuadraticNumber b": lambda value: QuadraticNumber(0, value),
+    "TruncatedSeries": lambda value: TruncatedSeries([1, value], 3),
+    "RationalGF numerator": lambda value: RationalGF([value], [1]),
+    "RationalGF denominator": lambda value: RationalGF([1], [1, value]),
+}
+
+
+@pytest.mark.parametrize("hold", _HOLDERS.values(), ids=_HOLDERS)
+@pytest.mark.parametrize("scalar", [0.1, "1/2", Decimal("0.5")], ids=repr)
+def test_exact_types_refuse_other_scalars(hold, scalar):
+    # a float would be held as its binary value and a string parsed
+    got = re.escape(repr(scalar))
+    wanted = rf"^(coordinate|coefficient) must be an int or a Fraction, got {got}$"
+    with pytest.raises(ValueError, match=wanted):
+        hold(scalar)
+    assert hold(True) == hold(1)
 
 
 @pytest.mark.parametrize("x", _EXACT, ids=lambda x: type(x).__name__)

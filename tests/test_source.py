@@ -60,6 +60,19 @@ def test_steps_are_told_apart_by_identity():
     assert found == []
 
 
+def test_the_exact_scalars_are_named_once():
+    # the operand rule and the coefficient rule read one tuple, so they
+    # cannot drift apart
+    found = [
+        source.name
+        for source in SOURCES
+        for node in ast.walk(ast.parse(source.read_text(), str(source)))
+        if isinstance(node, ast.Tuple)
+        and [getattr(e, "id", None) for e in node.elts] == ["int", "Fraction"]
+    ]
+    assert found == ["numbers.py"]
+
+
 def test_every_dataclass_is_frozen():
     # the census keys a dict on MarkedTree and the tests count
     # decompositions with Counter, so every record hashes by value

@@ -192,6 +192,14 @@ class TestValidation:
         tree = MarkedTree((D,), (((D,),),))
         assert hash(tree) == hash(_tree([D], [[[D]]]))
 
+    def test_tree_refuses_a_mark_that_is_not_an_edge_mark(self):
+        # a stray "d" would count as a single and break only the writers
+        with pytest.raises(ValueError, match="^backbone marks must be EdgeMarks, got 'd'$"):
+            MarkedTree(("d",), ((),))
+        for hanging in (("d",), (S, None), (D, "s", D)):
+            with pytest.raises(ValueError, match="^hanging path marks must be EdgeMarks, got "):
+                MarkedTree((S, D), ((), (hanging,)))
+
     def test_bundle_count_must_match(self):
         problems = validate_tree(MarkedTree((D,), ()))
         assert problems
