@@ -17,7 +17,6 @@ so the all-up prefix comes first.
 from __future__ import annotations
 
 import json
-import operator
 import re
 from dataclasses import dataclass, field
 from functools import cache
@@ -233,6 +232,13 @@ def heights(path: DeutschPath) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _below_ground(path: DeutschPath, height: int) -> NegativeExcursionError:
+    # the error for a walk that fell to ``height`` < 0; the walks count
+    # no positions, so the first step below the ground is found again
+    position = next(i for i, h in enumerate(heights(path), start=1) if h < 0)
+    return NegativeExcursionError(position, height)
+
+
 def valley_levels(path: DeutschPath) -> tuple[int, ...]:
     """Levels of the valleys of a path, left to right, checking the ground
     rules on the same walk.
@@ -246,7 +252,6 @@ def valley_levels(path: DeutschPath) -> tuple[int, ...]:
     levels = []
     height = 0
     fell = False  # the step before was a down-step
-    # no position is counted: only the error needs it, and finds it again
     for step in path.steps:
         if step is UP:
             if fell:
@@ -256,8 +261,7 @@ def valley_levels(path: DeutschPath) -> tuple[int, ...]:
         else:
             height -= step.size
             if height < 0:
-                position = next(i for i, h in enumerate(heights(path), start=1) if h < 0)
-                raise NegativeExcursionError(position, height)
+                raise _below_ground(path, height)
             fell = True
     if height != 0:
         raise NonzeroEndError(height)
@@ -265,9 +269,33 @@ def valley_levels(path: DeutschPath) -> tuple[int, ...]:
 
 
 def is_nondecreasing(path: DeutschPath) -> bool:
-    """True when the valley levels weakly increase left to right."""
-    levels = valley_levels(path)
-    return all(map(operator.le, levels, levels[1:]))
+    """True when the valley levels weakly increase left to right.
+
+    The ground rules are checked on the same one walk, which keeps only
+    the height and the last valley's level and builds nothing: a path
+    whose valleys dip is still walked to its end, and any path raises
+    exactly what :func:`valley_levels` raises for it.
+    """
+    height = 0
+    fell = False  # the step before was a down-step
+    level = 0  # the last valley's level; none lies below the ground
+    rising = True
+    for step in path.steps:
+        if step is UP:
+            if fell:
+                if height < level:
+                    rising = False
+                level = height
+                fell = False
+            height += 1
+        else:
+            height -= step.size
+            if height < 0:
+                raise _below_ground(path, height)
+            fell = True
+    if height != 0:
+        raise NonzeroEndError(height)
+    return rising
 
 
 @dataclass(frozen=True, slots=True)

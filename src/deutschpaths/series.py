@@ -64,6 +64,15 @@ class UnknownFormError(ValueError):
 Coeff = Fraction | int
 
 
+def _check_order(order: int) -> None:
+    # an order slices and counts coefficients, so it is exactly an int, as
+    # a Down's size is: a float, a bool or a string is refused by name
+    if type(order) is not int:
+        raise ValueError(f"order must be an int, got {order!r}")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+
+
 class TruncatedSeries(_DerivedOperators):
     """Power series known through z**order, with exact coefficients.
 
@@ -85,8 +94,7 @@ class TruncatedSeries(_DerivedOperators):
     def __init__(self, coeffs: Iterable[Coeff], order: int | None = None):
         values = [_exact(c, "coefficient") for c in coeffs]
         if order is not None:
-            if order < 0:
-                raise ValueError("order must be >= 0")
+            _check_order(order)
             del values[order + 1 :]
             values.extend([0] * (order + 1 - len(values)))
         elif not values:
@@ -290,8 +298,7 @@ class RationalGF(_DerivedOperators):
         With g[n] = c[n] * q[0]**(n+1) the recurrence needs no division:
         g[n] = q[0]**n * p[n] - sum(q[i] * g[n-i] * q[0]**(i-1), i >= 1).
         """
-        if order < 0:
-            raise ValueError("order must be >= 0")
+        _check_order(order)
         p, q = self.numerator, self.denominator
         q0 = q[0]
         # q[i] * q0**(i-1) for the terms that are not zero
@@ -319,8 +326,7 @@ class RationalGF(_DerivedOperators):
         terms of U1 and V: term 1 of P(z)Q(-z), p[1]*q[0] - p[0]*q[1],
         and term 0 of Q(z)Q(-z), q[0]**2, so neither product is formed.
         """
-        if n < 0:
-            raise ValueError("order must be >= 0")
+        _check_order(n)
         p, q = self.numerator, self.denominator
         while n > 1:
             q_minus = [-c if i % 2 else c for i, c in enumerate(q)]

@@ -328,12 +328,26 @@ class TestValleys:
 
     @given(ANY_STEPS)
     @example([])
+    # valleys 1 then 0, then below the ground at step 8: it raises, not False
+    @example([UP, UP, Down(1), UP, Down(2), UP, Down(1), Down(1)])
+    # valleys 1 then 0, then the walk ends at level 1
+    @example([UP, UP, Down(1), UP, Down(2), UP])
     def test_nondecreasing_means_sorted_valleys(self, steps):
         path = DeutschPath(tuple(steps))
         expected = _two_walk_valley_levels(path)
         if expected[0] == "value":
             expected = ("value", list(expected[1]) == sorted(expected[1]))
         assert _outcome(is_nondecreasing, path) == expected
+
+    def test_nondecreasing_means_sorted_valleys_on_every_short_path(self):
+        # every Deutsch path of length 12 or less, 6,787 of them
+        checked = 0
+        for n in range(13):
+            for p in enumerate_deutsch(n):
+                levels = list(valley_levels(p))
+                assert is_nondecreasing(p) == (levels == sorted(levels)), render_path(p)
+                checked += 1
+        assert checked == sum(_count_all_deutsch_dp(n) for n in range(13)) == 6787
 
     def test_fresh_up_instances_act_as_the_singleton(self):
         # there is one up-step, so the walks test steps by identity alone
@@ -488,6 +502,23 @@ class TestEnumeration:
         for n in range(13):
             count = sum(1 for _ in enumerate_nondecreasing_filter(n))
             assert count == _count_nondecreasing_dp(n) == EXPECTED_COUNTS[n]
+
+    def test_the_filter_judges_every_candidate_by_the_module_check(self, monkeypatch):
+        # the filter reads paths.is_nondecreasing when it is called, and
+        # hands it every Deutsch path: a bound or inlined check, or one
+        # that skips candidates, would miss this counting wrapper
+        judged = []
+        check = paths.is_nondecreasing
+
+        def counted(path):
+            judged.append(path)
+            return check(path)
+
+        monkeypatch.setattr(paths, "is_nondecreasing", counted)
+        kept = list(enumerate_nondecreasing_filter(8))
+        assert judged == list(enumerate_deutsch(8))
+        assert len(judged) == _count_all_deutsch_dp(8) == 91
+        assert len(kept) == EXPECTED_COUNTS[8] == 85
 
     def test_length_five_stream(self):
         assert [render_path(p) for p in enumerate_nondecreasing_filter(5)] == [

@@ -440,6 +440,26 @@ def test_exact_types_refuse_other_scalars(hold, scalar):
     assert hold(True) == hold(1)
 
 
+# each reads the with-empty counts 1, 0, 1, 1, 3, ... through order 4
+_ORDER_TAKERS = {
+    "TruncatedSeries": lambda order: TruncatedSeries([1, 0, 1, 1, 3, 6], order).coefficients,
+    "RationalGF.coefficients": lambda order: named_form("with-empty").coefficients(order),
+    "RationalGF.coefficient": lambda order: named_form("with-empty").coefficient(order),
+}
+
+
+@pytest.mark.parametrize("take", _ORDER_TAKERS.values(), ids=_ORDER_TAKERS)
+@pytest.mark.parametrize("order", [2.5, True, "3"], ids=repr)
+def test_an_order_is_exactly_an_int(take, order):
+    # a float or a string would end in a bare TypeError deep in the
+    # slicing, and True would pass as the order 1
+    with pytest.raises(ValueError, match=f"^order must be an int, got {re.escape(repr(order))}$"):
+        take(order)
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        take(-1)
+    assert take(4) in ((1, 0, 1, 1, 3), 3)
+
+
 @pytest.mark.parametrize("x", _EXACT, ids=lambda x: type(x).__name__)
 def test_exact_types_keep_their_division_by_zero(x):
     error = _DIVISION_BY_ZERO[type(x)]
