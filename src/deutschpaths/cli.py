@@ -31,7 +31,7 @@ def _print_count(value: int | Fraction) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    n = args.length
+    n = numbers._size(args.length, "--length")
     if args.method == "closed":
         return _print_count(numbers.count_nondecreasing_closed(n))
     if args.method == "series":
@@ -43,9 +43,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    top = args.max
-    if top < 0:
-        raise ValueError("--max must be >= 0")
+    top = numbers._size(args.max, "--max")
     closed = [numbers.count_nondecreasing_closed(n) for n in range(top + 1)]
     by_series = series.gf_coefficients("with-empty", top)
     rows = []
@@ -73,7 +71,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     write = paths.path_to_json if args.json else paths.render_path
-    for p in paths.enumerate_nondecreasing_filter(args.length):
+    for p in paths.enumerate_nondecreasing_filter(numbers._size(args.length, "--length")):
         print(write(p))
     return 0
 
@@ -91,7 +89,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
 
 
 def _cmd_gf(args: argparse.Namespace) -> int:
-    coeffs = series.gf_coefficients(args.form, args.terms)
+    coeffs = series.gf_coefficients(args.form, numbers._size(args.terms, "--terms"))
     if args.json:
         print(series.coefficients_to_json(args.form, coeffs))
     else:
@@ -100,13 +98,11 @@ def _cmd_gf(args: argparse.Namespace) -> int:
 
 
 def _cmd_mountains(args: argparse.Namespace) -> int:
-    if args.steps < 0:
-        raise ValueError("--steps must be >= 0")
-    return _print_count(numbers.count_mountains(args.steps))
+    return _print_count(numbers.count_mountains(numbers._size(args.steps, "--steps")))
 
 
 def _cmd_tilings(args: argparse.Namespace) -> int:
-    n = args.length
+    n = numbers._size(args.length, "--length")
     if args.list:
         for tiling in numbers.enumerate_tilings(n):
             if args.first_square and (not tiling or tiling[0] is not numbers.Piece.SQUARE):
@@ -119,6 +115,7 @@ def _cmd_tilings(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    numbers._size(args.max, "--max")
     if args.json:
         census_seconds, results = verify.timed_checks(args.max)
         census = f"census: each enumeration route walked once per length (n <= {args.max})"

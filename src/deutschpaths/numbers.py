@@ -61,8 +61,7 @@ class DoesNotStartWithDominoError(ValueError):
 
 def fibonacci(n: int) -> int:
     """F(n) with F(1) = F(2) = 1, defined for n >= -1 (F(-1) = 1)."""
-    if n < -1:
-        raise ValueError("defined for n >= -1 only")
+    _size(n, "n", -1)
     prev, cur = 1, 0  # F(-1), F(0)
     for _ in range(n + 1):
         prev, cur = cur, prev + cur
@@ -71,8 +70,7 @@ def fibonacci(n: int) -> int:
 
 def pell(n: int) -> int:
     """Pell numbers 0, 1, 2, 5, 12, 29, ... via x(n) = 2x(n-1) + x(n-2)."""
-    if n < 0:
-        raise ValueError("defined for n >= 0 only")
+    _size(n, "n")
     prev, cur = 0, 1
     for _ in range(n):
         prev, cur = cur, 2 * cur + prev
@@ -81,8 +79,7 @@ def pell(n: int) -> int:
 
 def half_companion_pell(n: int) -> int:
     """Half companion Pell numbers 1, 1, 3, 7, 17, 41, ... same recurrence."""
-    if n < 0:
-        raise ValueError("defined for n >= 0 only")
+    _size(n, "n")
     prev, cur = 1, 1
     for _ in range(n):
         prev, cur = cur, 2 * cur + prev
@@ -114,6 +111,17 @@ def _exact(value: object, what: str) -> Fraction | int:
     """``value`` itself when it is an ``int`` or ``Fraction``; else ValueError naming it."""
     if not isinstance(value, _EXACT_SCALARS):
         raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
+    return value
+
+
+def _size(value: object, what: str, least: int = 0) -> int:
+    """``value`` itself when it is exactly an ``int`` >= ``least``; else a
+    ValueError naming it.  Every count, length, order and size passes
+    here, so a float, a string, a ``Fraction`` or a bool is never run."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}")
     return value
 
 
@@ -239,9 +247,7 @@ class QuadraticNumber(_DerivedOperators):
         and popcount - 1 products, every one through ``*``.  A set bit
         thus multiplies by the base, never by a second large power.
         """
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        if not exponent:
+        if not _size(exponent, "exponent"):
             return QuadraticNumber(1)
         result = self
         for bit in bin(exponent)[3:]:
@@ -267,16 +273,14 @@ SILVER_CONJUGATE = QuadraticNumber(1, -1)  # 1 - sqrt(2)
 
 def binet_pell(n: int) -> int:
     """Pell number via (s**n - t**n) / (2 sqrt(2)) in the quadratic ring."""
-    if n < 0:
-        raise ValueError("defined for n >= 0 only")
+    _size(n, "n")
     diff = SILVER_RATIO**n - SILVER_CONJUGATE**n
     return (diff / (2 * SQRT2)).as_integer()
 
 
 def binet_half_companion(n: int) -> int:
     """Half companion Pell number via (s**n + t**n) / 2."""
-    if n < 0:
-        raise ValueError("defined for n >= 0 only")
+    _size(n, "n")
     total = SILVER_RATIO**n + SILVER_CONJUGATE**n
     return (total / 2).as_integer()
 
@@ -292,8 +296,7 @@ def count_nondecreasing_quadratic(n: int) -> int:
     it.  The result must be a nonnegative integer; a sqrt(2) part, a
     remainder or a negative value raises :class:`NonIntegerResultError`.
     """
-    if n < 0:
-        raise ValueError("defined for n >= 0 only")
+    _size(n, "n")
     s_pow = SILVER_RATIO**n
     t_pow = SILVER_CONJUGATE**n
     four_times = QuadraticNumber(1 + (-1) ** n) + (s_pow + t_pow) - (s_pow - t_pow) / SQRT2
@@ -314,8 +317,7 @@ def count_nondecreasing_closed(n: int) -> int:
     the quadratic ring evaluation on every call; a disagreement would
     be an arithmetic bug and raises.
     """
-    if n < 0:
-        raise ValueError("defined for n >= 0 only")
+    _size(n, "n")
     parity = (1 + (-1) ** n) // 2
     half_companion, pell_n = _silver_pair(n)
     total, remainder = divmod(parity + half_companion - pell_n, 2)
@@ -325,7 +327,7 @@ def count_nondecreasing_closed(n: int) -> int:
 
 
 def count_mountains(k: int) -> int:
-    """Number of mountains of length ``k``; 0 for k < 2.
+    """Number of mountains of length ``k`` >= 0; 0 for k < 2.
 
     Evaluates the two binomial sums
     sum(C(j-1, 2j-k) for 1 <= j < k) and
@@ -335,7 +337,7 @@ def count_mountains(k: int) -> int:
     term comes from the one before by small factors and an exact
     division rather than from a fresh binomial.
     """
-    if k < 2:
+    if _size(k, "k") < 2:
         return 0
     low = (k + 1) // 2  # the least j with 2j >= k
     by_rise = term = low - 1 if k % 2 else 1  # C(low-1, k mod 2)
@@ -371,8 +373,7 @@ def enumerate_tilings(n: int) -> Iterator[Tiling]:
     The order is lexicographic with Square < Domino, so the all-square
     tiling leads.  n = 0 yields the empty tiling.
     """
-    if n < 0:
-        raise ValueError("length must be >= 0")
+    _size(n, "n")
 
     def walk() -> Iterator[Tiling]:
         # lexicographic successor in a loop, so no length meets the
@@ -394,8 +395,7 @@ def enumerate_tilings(n: int) -> Iterator[Tiling]:
 
 def count_tilings(n: int) -> int:
     """Number of tilings of a 1 x n strip, by direct recurrence."""
-    if n < 0:
-        raise ValueError("length must be >= 0")
+    _size(n, "n")
     two_back, one_back = 1, 1  # lengths 0 and 1
     for _ in range(n):
         two_back, one_back = one_back, one_back + two_back
@@ -408,8 +408,7 @@ def count_square_first_tilings(n: int) -> int:
     The empty tiling has no first tile, so n = 0 gives 0 here even
     though the matching series starts with constant term 1.
     """
-    if n < 0:
-        raise ValueError("length must be >= 0")
+    _size(n, "n")
     return count_tilings(n - 1) if n >= 1 else 0
 
 

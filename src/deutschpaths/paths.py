@@ -23,6 +23,8 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement, groupby, pairwise, product
 from typing import Iterator
 
+from .numbers import _size
+
 __all__ = [
     "PathTokenError",
     "NegativeExcursionError",
@@ -107,10 +109,7 @@ class Down:
     token: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if type(self.size) is not int:
-            raise ValueError(f"down-step size must be an int, got {self.size!r}")
-        if self.size < 1:
-            raise ValueError(f"down-step size must be >= 1, got {self.size}")
+        _size(self.size, "down-step size", 1)
         object.__setattr__(self, "token", f"D{self.size}")
 
 
@@ -216,9 +215,9 @@ def path_from_json(text: str) -> DeutschPath:
 
 
 def validate(path: DeutschPath) -> DeutschPath:
-    """Check the ground rules, as :func:`valley_levels` does, and return
-    the path unchanged.  The empty path is valid."""
-    valley_levels(path)
+    """Check the ground rules on :func:`is_nondecreasing`'s walk, which
+    builds nothing, and return the path unchanged.  The empty path is valid."""
+    is_nondecreasing(path)
     return path
 
 
@@ -298,6 +297,15 @@ def is_nondecreasing(path: DeutschPath) -> bool:
     return rising
 
 
+def _composition(parts: tuple[int, ...], what: str) -> int:
+    # the total of parts that are each exactly an int >= 1; one call and
+    # one plain loop per record, as a generator per part costs more
+    for part in parts:
+        if type(part) is not int or part < 1:
+            raise ValueError(f"{what} parts must be ints >= 1, got {part!r}")
+    return sum(parts)
+
+
 @dataclass(frozen=True, slots=True)
 class Mountain:
     """A rise of unit up-steps followed only by the down-steps ``descent``.
@@ -312,8 +320,8 @@ class Mountain:
     def __post_init__(self) -> None:
         if type(self.descent) is not tuple:
             raise ValueError(f"descent must be a tuple, got {self.descent!r}")
-        if not self.descent or any(type(d) is not int or d < 1 for d in self.descent):
-            raise ValueError(f"descent parts must be ints >= 1, got {self.descent!r}")
+        if not _composition(self.descent, "descent"):
+            raise ValueError("descent must be nonempty")
 
     @property
     def ups(self) -> int:
@@ -362,7 +370,7 @@ class Decomposition:
         parts = self.homerun
         if type(parts) is not tuple:
             raise ValueError(f"homerun must be a tuple, got {parts!r}")
-        if any(type(d) is not int or d < 1 for d in parts) or sum(parts) != len(self.bundles):
+        if _composition(parts, "home run") != len(self.bundles):
             raise ValueError("home run must be a composition of the height")
 
     @property
@@ -436,8 +444,7 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
     only its current steps and the two-step endings of the levels it
     has met.
     """
-    if n < 0:
-        raise ValueError("length must be >= 0")
+    _size(n, "n")
 
     def walk() -> Iterator[DeutschPath]:
         # each path skips DeutschPath's generated __init__, which checks
@@ -528,9 +535,7 @@ def iter_decompositions(total_length: int) -> Iterator[Decomposition]:
     callers that need that compose and re-sort, as
     :func:`enumerate_nondecreasing_direct` does.
     """
-    if total_length < 0:
-        raise ValueError("length must be >= 0")
-    if total_length == 0:
+    if not _size(total_length, "total_length"):
         return iter((Decomposition((), ()),))
     return (
         Decomposition(tuple(run[a:b] for a, b in pairwise((0, *cuts, len(run)))), homerun)
@@ -549,4 +554,5 @@ def enumerate_nondecreasing_direct(n: int) -> Iterator[DeutschPath]:
     re-sorts into the canonical lexicographic order so the stream can be
     compared step for step with :func:`enumerate_nondecreasing_filter`.
     """
-    return iter(sorted(map(compose, iter_decompositions(n)), key=DeutschPath.sort_key))
+    decompositions = iter_decompositions(_size(n, "n"))
+    return iter(sorted(map(compose, decompositions), key=DeutschPath.sort_key))

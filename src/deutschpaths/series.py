@@ -4,7 +4,8 @@ No floating point is involved anywhere, and every coefficient handed
 out is a :class:`fractions.Fraction`.  Both types take their
 coefficients as ``int`` or ``Fraction`` only and refuse any other
 scalar, a float, a string or a ``Decimal``, with a ``ValueError`` that
-names it.  A :class:`TruncatedSeries` holds
+names it; an order is exactly an ``int`` >= 0, by the package's one
+size rule, ``numbers._size``.  A :class:`TruncatedSeries` holds
 coefficients 0 through its order as ``int`` numerators over one common
 ``int`` denominator, computes on those integers, and builds a
 ``Fraction`` only for a coefficient read out; binary operations
@@ -32,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .numbers import _DerivedOperators, _exact, _lifted
+from .numbers import _DerivedOperators, _exact, _lifted, _size
 from .paths import _RECORD_ENCODER
 
 __all__ = [
@@ -64,15 +65,6 @@ class UnknownFormError(ValueError):
 Coeff = Fraction | int
 
 
-def _check_order(order: int) -> None:
-    # an order slices and counts coefficients, so it is exactly an int, as
-    # a Down's size is: a float, a bool or a string is refused by name
-    if type(order) is not int:
-        raise ValueError(f"order must be an int, got {order!r}")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-
-
 class TruncatedSeries(_DerivedOperators):
     """Power series known through z**order, with exact coefficients.
 
@@ -94,7 +86,7 @@ class TruncatedSeries(_DerivedOperators):
     def __init__(self, coeffs: Iterable[Coeff], order: int | None = None):
         values = [_exact(c, "coefficient") for c in coeffs]
         if order is not None:
-            _check_order(order)
+            _size(order, "order")
             del values[order + 1 :]
             values.extend([0] * (order + 1 - len(values)))
         elif not values:
@@ -298,7 +290,7 @@ class RationalGF(_DerivedOperators):
         With g[n] = c[n] * q[0]**(n+1) the recurrence needs no division:
         g[n] = q[0]**n * p[n] - sum(q[i] * g[n-i] * q[0]**(i-1), i >= 1).
         """
-        _check_order(order)
+        _size(order, "order")
         p, q = self.numerator, self.denominator
         q0 = q[0]
         # q[i] * q0**(i-1) for the terms that are not zero
@@ -326,7 +318,7 @@ class RationalGF(_DerivedOperators):
         terms of U1 and V: term 1 of P(z)Q(-z), p[1]*q[0] - p[0]*q[1],
         and term 0 of Q(z)Q(-z), q[0]**2, so neither product is formed.
         """
-        _check_order(n)
+        _size(n, "n")
         p, q = self.numerator, self.denominator
         while n > 1:
             q_minus = [-c if i % 2 else c for i, c in enumerate(q)]
@@ -448,7 +440,7 @@ def star_identity_holds(a: TruncatedSeries, b: TruncatedSeries, order: int) -> b
     being compared do not exist and
     :class:`NonzeroConstantTermError` is raised.
     """
-    a = TruncatedSeries(a.coefficients, order)
+    a = TruncatedSeries(a.coefficients, _size(order, "order"))  # None would keep a's order
     b = TruncatedSeries(b.coefficients, order)
     if a[0] or b[0]:
         raise NonzeroConstantTermError("both arguments must have zero constant term")

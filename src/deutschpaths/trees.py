@@ -18,7 +18,9 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .paths import _RECORD_ENCODER, Decomposition, DeutschPath, Mountain, compose, decompose
+from .paths import (
+    _RECORD_ENCODER, Decomposition, DeutschPath, Mountain, _composition, compose, decompose
+)
 
 __all__ = [
     "EdgeMark",
@@ -118,10 +120,9 @@ def composition_to_marks(parts: tuple[int, ...]) -> tuple[EdgeMark, ...]:
     the attachment node downward.  The empty composition gives the empty
     sequence.
     """
+    _composition(parts, "composition")
     marks: list[EdgeMark] = []
     for part in parts:
-        if type(part) is not int or part < 1:
-            raise ValueError(f"composition parts must be ints >= 1, got {part!r}")
         marks.extend([EdgeMark.SINGLE] * (part - 1))
         marks.append(EdgeMark.DOUBLE)
     return tuple(marks)

@@ -324,8 +324,7 @@ def timed_checks(max_length: int = 12) -> tuple[float, list[CheckResult]]:
     Each result carries the seconds its check took.  Brute
     enumerations stop at ``max_length``.
     """
-    if max_length < 0:
-        raise ValueError("max length must be >= 0")
+    numbers._size(max_length, "max_length")
     start = time.perf_counter()
     mountains, brute, unit_down, failed = _take_census(max_length)
     census_seconds = time.perf_counter() - start

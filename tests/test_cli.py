@@ -435,32 +435,29 @@ class TestErrors:
     def test_negative_length(self):
         self.check("count", "--length", "-1", fragment="error:")
 
-    @pytest.mark.parametrize(
-        "method, message",
-        [
-            ("closed", "defined for n >= 0 only"),
-            ("series", "order must be >= 0"),
-            ("brute", "length must be >= 0"),
-            ("direct", "length must be >= 0"),
-        ],
-    )
-    def test_negative_length_by_method(self, capsys, method, message):
+    @pytest.mark.parametrize("method", ["closed", "series", "brute", "direct"])
+    def test_negative_length_by_method(self, capsys, method):
+        # the flag is checked before any route runs, so each says the same
         assert cli.main(["count", "--length", "-1", "--method", method]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == "error: --length must be >= 0\n"
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["table", "--max", "-1"], "--max must be >= 0"),
             (["mountains", "--steps", "-1"], "--steps must be >= 0"),
+            (["list", "--length", "-1"], "--length must be >= 0"),
+            (["tilings", "--length", "-1"], "--length must be >= 0"),
+            (["gf", "--form", "bundle", "--terms", "-1"], "--terms must be >= 0"),
+            (["verify", "--max", "-1"], "--max must be >= 0"),
             (
                 ["path", "--tree", '{"backbone":[],"bundles":[1]}'],
                 "node 0: expected a list of hanging paths",
             ),
         ],
-        ids=["table", "mountains", "path"],
+        ids=["table", "mountains", "list", "tilings", "gf", "verify", "path"],
     )
     def test_domain_error(self, capsys, argv, message):
         assert cli.main(argv) == 2

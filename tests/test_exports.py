@@ -40,11 +40,12 @@ delete_leading_domino render_tiling CheckResult run_checks timed_checks
 # Names that are gone from the package and from every module: one-line
 # wrappers around an operator, a method or str(), names that no
 # command, verify check or benchmark workload reached, and a record and
-# helpers that had one caller, which now does their work itself.
+# helpers that had one caller, which now does their work itself, and the
+# series' own order check, which numbers._size replaced.
 REMOVED = """
 series_add series_mul series_div rational_coeffs format_coefficient quad_pow
 statistics StatsSummary format_bfile DEFAULT_ORDER _fractions Polynomial _poly
-PathStats path_stats _checked
+PathStats path_stats _checked _check_order
 """.split()
 
 # members that nothing outside their own tests reached, or that had one caller

@@ -143,7 +143,7 @@ class TestParsing:
         assert paths._down.cache_info().currsize == before
 
     def test_down_size_must_be_positive(self):
-        with pytest.raises(ValueError, match="^down-step size must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match="^down-step size must be >= 1$"):
             Down(0)
         # True == 1 and 1.0 == 1, but neither renders as D1
         for size in (True, 1.0, 2.5):
@@ -378,9 +378,12 @@ class TestMountains:
 
     def test_mountain_invariants(self):
         # the rise is the descent's total, so only the descent can be wrong
-        for descent in ((), (0,), (3, -1), (1.0,), (True,), ("1",)):
-            with pytest.raises(ValueError, match="^descent parts must be ints >= 1, got "):
-                Mountain(descent)
+        with pytest.raises(ValueError, match="^descent must be nonempty$"):
+            Mountain(())
+        for part in (0, -1, 1.0, True, "1"):
+            message = f"^descent parts must be ints >= 1, got {re.escape(repr(part))}$"
+            with pytest.raises(ValueError, match=message):
+                Mountain((3, part))
         # a list would build a frozen record that cannot be hashed
         for descent in ([1], [2, 1], range(1, 2)):
             with pytest.raises(ValueError, match="^descent must be a tuple, got "):
@@ -485,11 +488,11 @@ class TestEnumeration:
         assert len(calls) <= 2
 
     def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
             enumerate_deutsch(-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
             enumerate_nondecreasing_direct(-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^total_length must be >= 0$"):
             iter_decompositions(-1)
 
     def test_first_path_streams_at_any_length(self):
@@ -608,7 +611,8 @@ class TestDecomposition:
         # 1.0 sums to the height, but its step would render as D1.0, so the
         # decomposition refuses it when it is built
         for part in (1.0, True, "1"):
-            with pytest.raises(ValueError, match="^home run must be a composition of the height$"):
+            message = f"^home run parts must be ints >= 1, got {re.escape(repr(part))}$"
+            with pytest.raises(ValueError, match=message):
                 Decomposition(((),), (part,))
         assert render_path(compose(Decomposition(((),), (1,)))) == "U D1"
 

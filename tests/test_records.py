@@ -1,28 +1,55 @@
 """Hostile input at the package's boundaries.
 
 A record parser returns a value or raises its own record error, never
-another exception.  The CLI answers any argv with exit 0 and a quiet
-stderr, or with exit 2 and one ``error:`` line, and answers it the same
-way when called again in the same process.
+another exception.  Every count, length, order and size is exactly an
+``int`` at or above its least value, or a ``ValueError`` names it.  The
+CLI answers any argv with exit 0 and a quiet stderr, or with exit 2 and
+one ``error:`` line, and answers it the same way when called again in
+the same process.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import re
+from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from deutschpaths import (
     FORM_NAMES,
+    SILVER_RATIO,
+    Down,
     PathTokenError,
     TreeRecordError,
+    TruncatedSeries,
+    binet_half_companion,
+    binet_pell,
     cli,
+    count_mountains,
+    count_nondecreasing_closed,
+    count_nondecreasing_quadratic,
+    count_square_first_tilings,
+    count_tilings,
+    enumerate_deutsch,
+    enumerate_nondecreasing_direct,
+    enumerate_nondecreasing_filter,
+    enumerate_tilings,
+    fibonacci,
+    gf_coefficients,
+    half_companion_pell,
+    iter_decompositions,
+    named_form,
     parse_path,
     path_from_json,
+    pell,
+    star_identity_holds,
     tree_from_json,
+    verify,
 )
 
 HUGE = "9" * 5000
@@ -164,3 +191,79 @@ def test_main_answers_every_argv_with_exit_0_or_one_error_line(int_digit_limit, 
     else:
         assert sum("error:" in line for line in err.splitlines()) == 1
     assert _run_main(words) == first
+
+
+_Z = TruncatedSeries([0, 1], 4)
+_WITH_EMPTY = named_form("with-empty")
+
+
+def _series_of_order(order):
+    return TruncatedSeries([1], order)
+
+
+def _handler(handler, flag):
+    # a CLI handler called with its flag set to a value argparse never gives
+    other = dict(method="closed", form="bundle", brute_cap=0, json=False, list=False)
+    return lambda value: handler(argparse.Namespace(**other, **{flag.strip("-"): value}))
+
+
+# every public taker of a count, length, order or size: the name its
+# refusal gives the argument, and the least value it takes
+SIZE_TAKERS = {
+    "fibonacci": (fibonacci, "n", -1),
+    "pell": (pell, "n", 0),
+    "half_companion_pell": (half_companion_pell, "n", 0),
+    "binet_pell": (binet_pell, "n", 0),
+    "binet_half_companion": (binet_half_companion, "n", 0),
+    "count_nondecreasing_quadratic": (count_nondecreasing_quadratic, "n", 0),
+    "count_nondecreasing_closed": (count_nondecreasing_closed, "n", 0),
+    "count_mountains": (count_mountains, "k", 0),
+    "enumerate_tilings": (enumerate_tilings, "n", 0),
+    "count_tilings": (count_tilings, "n", 0),
+    "count_square_first_tilings": (count_square_first_tilings, "n", 0),
+    "QuadraticNumber.__pow__": (lambda exponent: SILVER_RATIO**exponent, "exponent", 0),
+    "Down": (Down, "down-step size", 1),
+    "enumerate_deutsch": (enumerate_deutsch, "n", 0),
+    "enumerate_nondecreasing_filter": (enumerate_nondecreasing_filter, "n", 0),
+    "enumerate_nondecreasing_direct": (enumerate_nondecreasing_direct, "n", 0),
+    "iter_decompositions": (iter_decompositions, "total_length", 0),
+    "TruncatedSeries": (_series_of_order, "order", 0),
+    "RationalGF.coefficients": (_WITH_EMPTY.coefficients, "order", 0),
+    "RationalGF.coefficient": (_WITH_EMPTY.coefficient, "n", 0),
+    "gf_coefficients": (lambda order: gf_coefficients("bundle", order), "order", 0),
+    "star_identity_holds": (lambda order: star_identity_holds(_Z, _Z, order), "order", 0),
+    "timed_checks": (verify.timed_checks, "max_length", 0),
+    "run_checks": (verify.run_checks, "max_length", 0),
+    **{
+        f"cli.{handler}": (_handler(getattr(cli, handler), flag), flag, 0)
+        for handler, flag in (
+            ("_cmd_count", "--length"),
+            ("_cmd_table", "--max"),
+            ("_cmd_list", "--length"),
+            ("_cmd_gf", "--terms"),
+            ("_cmd_mountains", "--steps"),
+            ("_cmd_tilings", "--length"),
+            ("_cmd_verify", "--max"),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("take, what, least", SIZE_TAKERS.values(), ids=SIZE_TAKERS)
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", Fraction(3), None, True], ids=repr)
+def test_a_size_is_exactly_an_int(take, what, least, value):
+    # equal to 3 or to 1 is not enough: 3.0 would print as D3.0, True would
+    # run as n = 1, and a float or a string would end in a bare TypeError
+    if take is _series_of_order and value is None:
+        # the series' own default: the order its coefficients reach
+        assert take(value).order == 0
+        return
+    message = f"^{re.escape(what)} must be an int, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        take(value)
+
+
+@pytest.mark.parametrize("take, what, least", SIZE_TAKERS.values(), ids=SIZE_TAKERS)
+def test_a_size_below_its_least_is_refused(take, what, least):
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} must be >= {least}$"):
+        take(least - 1)

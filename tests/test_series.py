@@ -440,22 +440,26 @@ def test_exact_types_refuse_other_scalars(hold, scalar):
     assert hold(True) == hold(1)
 
 
-# each reads the with-empty counts 1, 0, 1, 1, 3, ... through order 4
+# each reads the with-empty counts 1, 0, 1, 1, 3, ... through order 4,
+# and names its argument
 _ORDER_TAKERS = {
-    "TruncatedSeries": lambda order: TruncatedSeries([1, 0, 1, 1, 3, 6], order).coefficients,
-    "RationalGF.coefficients": lambda order: named_form("with-empty").coefficients(order),
-    "RationalGF.coefficient": lambda order: named_form("with-empty").coefficient(order),
+    "TruncatedSeries": (
+        "order",
+        lambda order: TruncatedSeries([1, 0, 1, 1, 3, 6], order).coefficients,
+    ),
+    "RationalGF.coefficients": ("order", named_form("with-empty").coefficients),
+    "RationalGF.coefficient": ("n", named_form("with-empty").coefficient),
 }
 
 
-@pytest.mark.parametrize("take", _ORDER_TAKERS.values(), ids=_ORDER_TAKERS)
+@pytest.mark.parametrize("what, take", _ORDER_TAKERS.values(), ids=_ORDER_TAKERS)
 @pytest.mark.parametrize("order", [2.5, True, "3"], ids=repr)
-def test_an_order_is_exactly_an_int(take, order):
+def test_an_order_is_exactly_an_int(what, take, order):
     # a float or a string would end in a bare TypeError deep in the
     # slicing, and True would pass as the order 1
-    with pytest.raises(ValueError, match=f"^order must be an int, got {re.escape(repr(order))}$"):
+    with pytest.raises(ValueError, match=f"^{what} must be an int, got {re.escape(repr(order))}$"):
         take(order)
-    with pytest.raises(ValueError, match="^order must be >= 0$"):
+    with pytest.raises(ValueError, match=f"^{what} must be >= 0$"):
         take(-1)
     assert take(4) in ((1, 0, 1, 1, 3), 3)
 

@@ -90,3 +90,66 @@ def test_every_dataclass_is_frozen():
                         thawed.append(f"{source.name}:{node.lineno}")
     assert count == 9
     assert thawed == []
+
+
+# parameter names that hold a count, length, order or size, and the
+# public functions that pass theirs on, unchanged, to one that checks it
+SIZE_PARAMETERS = {"n", "k", "length", "total_length", "order", "max_length", "exponent"}
+PASSES_ON = {"run_checks", "enumerate_nondecreasing_filter", "gf_coefficients"}
+
+
+def _public_functions(tree: ast.Module):
+    # module-level functions and the methods of public classes; of the
+    # dunders only __init__ and __pow__ take a size (__getitem__ takes an
+    # index, negative ones included)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and (
+                    not method.name.startswith("_") or method.name in {"__init__", "__pow__"}
+                ):
+                    yield f"{node.name}.{method.name}", method
+
+
+def _passes(call: ast.Call, name: str, first_only: bool) -> bool:
+    args = call.args[:1] if first_only else [*call.args, *(k.value for k in call.keywords)]
+    return any(getattr(arg, "id", None) == name for arg in args)
+
+
+def test_every_size_goes_through_the_size_rule():
+    checked, unchecked = [], []
+    for source in SOURCES:
+        for name, function in _public_functions(ast.parse(source.read_text(), str(source))):
+            calls = [node for node in ast.walk(function) if isinstance(node, ast.Call)]
+            for arg in function.args.args + function.args.kwonlyargs:
+                if arg.arg not in SIZE_PARAMETERS:
+                    continue
+                sized = any(
+                    getattr(call.func, "id", getattr(call.func, "attr", None)) == "_size"
+                    and _passes(call, arg.arg, first_only=True)
+                    for call in calls
+                )
+                passed_on = function.name in PASSES_ON and any(
+                    _passes(call, arg.arg, first_only=False) for call in calls
+                )
+                (checked if sized or passed_on else unchecked).append(f"{source.name}: {name}")
+    assert unchecked == []
+    assert len(checked) == 23
+    assert "numbers.py: QuadraticNumber.__pow__" in checked
+
+
+def test_the_size_rule_is_spelled_once():
+    # its two messages live in numbers._size alone, so no site spells its own
+    fragments = ("must be an int, got", "must be >=")
+    found, helper = [], None
+    for source in SOURCES:
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_size":
+                helper = source.name, range(node.lineno, node.end_lineno + 1)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if any(fragment in node.value for fragment in fragments):
+                    found.append((source.name, node.lineno))
+    assert len(found) == 2
+    assert all(name == helper[0] and line in helper[1] for name, line in found)
