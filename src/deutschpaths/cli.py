@@ -44,15 +44,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     top = numbers._size(args.max, "--max")
+    cap = numbers._size(args.brute_cap, "--brute-cap")
     closed = [numbers.count_nondecreasing_closed(n) for n in range(top + 1)]
     by_series = series.gf_coefficients("with-empty", top)
     rows = []
     for n in range(top + 1):
-        brute = (
-            sum(1 for _ in paths.enumerate_nondecreasing_filter(n))
-            if n <= args.brute_cap
-            else None
-        )
+        brute = sum(1 for _ in paths.enumerate_nondecreasing_filter(n)) if n <= cap else None
         agree = closed[n] == by_series[n] and brute in (None, closed[n])
         rows.append((n, closed[n], by_series[n], brute, agree))
     if args.json:

@@ -232,48 +232,38 @@ def heights(path: DeutschPath) -> tuple[int, ...]:
 
 
 def _below_ground(path: DeutschPath, height: int) -> NegativeExcursionError:
-    # the error for a walk that fell to ``height`` < 0; the walks count
+    # the error for a walk that fell to ``height`` < 0; the walk counts
     # no positions, so the first step below the ground is found again
     position = next(i for i, h in enumerate(heights(path), start=1) if h < 0)
     return NegativeExcursionError(position, height)
 
 
 def valley_levels(path: DeutschPath) -> tuple[int, ...]:
-    """Levels of the valleys of a path, left to right, checking the ground
-    rules on the same walk.
+    """Levels of the valleys of a path, left to right, read off
+    :func:`heights` once :func:`validate` has checked the ground rules.
 
     A valley is an interior lattice point entered by a down-step and
-    left by an up-step.  Endpoints never count.  Raises
-    :class:`NegativeExcursionError` at the first step (1-based) that
-    drops below level 0 and :class:`NonzeroEndError` when the walk ends
-    off the ground.
+    left by an up-step.  Endpoints never count.  Raises what
+    :func:`is_nondecreasing` raises: :class:`NegativeExcursionError` at
+    the first step (1-based) that drops below level 0 and
+    :class:`NonzeroEndError` when the walk ends off the ground.
     """
-    levels = []
-    height = 0
-    fell = False  # the step before was a down-step
-    for step in path.steps:
-        if step is UP:
-            if fell:
-                levels.append(height)
-                fell = False
-            height += 1
-        else:
-            height -= step.size
-            if height < 0:
-                raise _below_ground(path, height)
-            fell = True
-    if height != 0:
-        raise NonzeroEndError(height)
-    return tuple(levels)
+    steps = validate(path).steps
+    return tuple(
+        height
+        for height, before, after in zip(heights(path), steps, steps[1:])
+        if before is not UP and after is UP
+    )
 
 
 def is_nondecreasing(path: DeutschPath) -> bool:
     """True when the valley levels weakly increase left to right.
 
-    The ground rules are checked on the same one walk, which keeps only
-    the height and the last valley's level and builds nothing: a path
-    whose valleys dip is still walked to its end, and any path raises
-    exactly what :func:`valley_levels` raises for it.
+    The ground rules are checked on the same walk, which keeps only the
+    height and the last valley's level and builds nothing: a path whose
+    valleys dip is still walked to its end.  It is the package's one
+    ground-rule walk, so :func:`validate`, :func:`valley_levels` and
+    :func:`as_mountain` raise what it raises.
     """
     height = 0
     fell = False  # the step before was a down-step
@@ -329,16 +319,20 @@ class Mountain:
 
 
 def as_mountain(path: DeutschPath) -> Mountain | None:
-    """Return the mountain a validated path traces, or None.
+    """Return the mountain a path traces, or None, once :func:`validate`
+    has checked the ground rules.
 
     A path is a mountain when it consists of one up-run followed by one
     down-run and nothing else, that is when it is nonempty and has no
     valley.  The empty path is not a mountain.
     """
-    if valley_levels(path) or not path.steps:
+    steps = validate(path).steps
+    rises = [s is UP for s in steps]
+    ups = rises.count(True)
+    # a down-step among the first ``ups`` steps is followed by an up-step
+    if not steps or False in rises[:ups]:
         return None
-    ups = sum(s is UP for s in path.steps)
-    return Mountain(tuple(s.size for s in path.steps[ups:]))
+    return Mountain(tuple(s.size for s in steps[ups:]))
 
 
 @dataclass(frozen=True, slots=True)

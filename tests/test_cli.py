@@ -447,6 +447,7 @@ class TestErrors:
         "argv, message",
         [
             (["table", "--max", "-1"], "--max must be >= 0"),
+            (["table", "--max", "2", "--brute-cap", "-3"], "--brute-cap must be >= 0"),
             (["mountains", "--steps", "-1"], "--steps must be >= 0"),
             (["list", "--length", "-1"], "--length must be >= 0"),
             (["tilings", "--length", "-1"], "--length must be >= 0"),
@@ -457,7 +458,7 @@ class TestErrors:
                 "node 0: expected a list of hanging paths",
             ),
         ],
-        ids=["table", "mountains", "list", "tilings", "gf", "verify", "path"],
+        ids=["table", "brute-cap", "mountains", "list", "tilings", "gf", "verify", "path"],
     )
     def test_domain_error(self, capsys, argv, message):
         assert cli.main(argv) == 2

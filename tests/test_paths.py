@@ -376,6 +376,21 @@ class TestMountains:
                 if mountain is not None:
                     assert mountain.ups == shape.count("U")
 
+    @given(ANY_STEPS)
+    @example([])
+    # one rise and one fall that lands below the ground at step 3
+    @example([UP, Down(1), Down(1)])
+    # one rise and one fall that ends at level 1
+    @example([UP, UP, Down(1)])
+    def test_mountain_checks_the_ground_rules(self, steps):
+        path = DeutschPath(tuple(steps))
+        expected = _two_walk_valley_levels(path)
+        if expected[0] == "value":
+            downs = tuple(step.size for step in steps if step != UP)
+            mountain = Mountain(downs) if steps and not expected[1] else None
+            expected = ("value", mountain)
+        assert _outcome(as_mountain, path) == expected
+
     def test_mountain_invariants(self):
         # the rise is the descent's total, so only the descent can be wrong
         with pytest.raises(ValueError, match="^descent must be nonempty$"):

@@ -153,3 +153,20 @@ def test_the_size_rule_is_spelled_once():
                     found.append((source.name, node.lineno))
     assert len(found) == 2
     assert all(name == helper[0] and line in helper[1] for name, line in found)
+
+
+def test_one_walk_checks_the_ground_rules():
+    # the end rule and the below-ground error are raised by
+    # paths.is_nondecreasing alone; every other check calls it
+    found, walk = [], None
+    for source in SOURCES:
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.FunctionDef) and node.name == "is_nondecreasing":
+                walk = source.name, range(node.lineno, node.end_lineno + 1)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in {
+                "NonzeroEndError",
+                "_below_ground",
+            }:
+                found.append((source.name, node.lineno))
+    assert len(found) == 2
+    assert all(name == walk[0] and line in walk[1] for name, line in found)
