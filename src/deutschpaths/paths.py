@@ -132,8 +132,7 @@ class DeutschPath:
     def __post_init__(self) -> None:
         # a tuple, so that a path hashes and equals its twin; the steps
         # themselves go unchecked, a pass over every parsed or composed path
-        if type(self.steps) is not tuple:
-            raise ValueError(f"steps must be a tuple, got {type(self.steps).__name__}")
+        _tuple_of(self.steps, "steps")
 
     def sort_key(self) -> tuple[int, ...]:
         """Key realising the canonical order: U < D1 < D2 < ... is falling rise."""
@@ -287,10 +286,24 @@ def is_nondecreasing(path: DeutschPath) -> bool:
     return rising
 
 
+def _tuple_of(value: tuple, what: str, kind: type | None = None) -> tuple:
+    # the records' one shape rule: exactly a tuple, so that a record hashes,
+    # and if `kind` is given, items exactly of that type.  Messages name
+    # types, as a field's repr can be huge; a plain loop, run per bundle
+    if type(value) is not tuple:
+        raise ValueError(f"{what} must be a tuple, got {type(value).__name__}")
+    if kind is not None:
+        for item in value:
+            if type(item) is not kind:
+                got = type(item).__name__
+                raise ValueError(f"{what} must hold only {kind.__name__}s, got {got}")
+    return value
+
+
 def _composition(parts: tuple[int, ...], what: str) -> int:
     # the total of parts that are each exactly an int >= 1; one call and
     # one plain loop per record, as a generator per part costs more
-    for part in parts:
+    for part in _tuple_of(parts, what):
         if type(part) is not int or part < 1:
             raise ValueError(f"{what} parts must be ints >= 1, got {part!r}")
     return sum(parts)
@@ -308,8 +321,6 @@ class Mountain:
     descent: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.descent) is not tuple:
-            raise ValueError(f"descent must be a tuple, got {self.descent!r}")
         if not _composition(self.descent, "descent"):
             raise ValueError("descent must be nonempty")
 
@@ -351,20 +362,10 @@ class Decomposition:
     homerun: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # tuples all through, so that a decomposition hashes; plain loops,
-        # as `count --method direct` builds one decomposition per path
-        if type(self.bundles) is not tuple:
-            raise ValueError("bundles must be a tuple of tuples")
-        for bundle in self.bundles:
-            if type(bundle) is not tuple:
-                raise ValueError("bundles must be a tuple of tuples")
-            for m in bundle:
-                if type(m) is not Mountain:
-                    raise ValueError("bundles must hold only mountains")
-        parts = self.homerun
-        if type(parts) is not tuple:
-            raise ValueError(f"homerun must be a tuple, got {parts!r}")
-        if _composition(parts, "home run") != len(self.bundles):
+        # tuples all through, so that a decomposition hashes
+        for bundle in _tuple_of(self.bundles, "bundles", tuple):
+            _tuple_of(bundle, "bundle", Mountain)
+        if _composition(self.homerun, "home run") != len(self.bundles):
             raise ValueError("home run must be a composition of the height")
 
     @property

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .paths import (
-    _RECORD_ENCODER, Decomposition, DeutschPath, Mountain, _composition, compose, decompose
+    _RECORD_ENCODER, Decomposition, DeutschPath, Mountain, _composition, _tuple_of, compose,
+    decompose,
 )
 
 __all__ = [
@@ -64,22 +65,15 @@ class EdgeMark(Enum):
     DOUBLE = "d"
 
 
-def _check_marks(marks: tuple[EdgeMark, ...], where: str) -> None:
-    # a stray "d" would pass for a single everywhere but the writers
-    for mark in marks:
-        if type(mark) is not EdgeMark:
-            raise ValueError(f"{where} marks must be EdgeMarks, got {mark!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class MarkedTree:
     """Backbone marks plus one bundle of hanging paths per backbone node.
 
     ``backbone[i]`` marks the edge from backbone node i to node i+1 and
     ``bundles[i]`` holds the hanging paths attached at node i, each a
-    nonempty mark sequence.  The constructor checks only that every
-    field is held in tuples, so that a tree hashes, and that every mark
-    is an :class:`EdgeMark`; validity is checked by
+    nonempty mark sequence.  The constructor checks only the shape, so
+    that a tree hashes: tuples all through and :class:`EdgeMark` marks,
+    or a ``ValueError`` names the level.  Validity is checked by
     :func:`validate_tree`, so invalid trees can be built and inspected.
     """
 
@@ -87,18 +81,11 @@ class MarkedTree:
     bundles: tuple[tuple[tuple[EdgeMark, ...], ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if type(self.backbone) is not tuple:
-            raise ValueError("backbone must be a tuple")
-        _check_marks(self.backbone, "backbone")
-        if type(self.bundles) is not tuple:
-            raise ValueError("bundles and their hanging paths must be tuples")
-        for bundle in self.bundles:
-            if type(bundle) is not tuple:
-                raise ValueError("bundles and their hanging paths must be tuples")
-            for hanging in bundle:
-                if type(hanging) is not tuple:
-                    raise ValueError("bundles and their hanging paths must be tuples")
-                _check_marks(hanging, "hanging path")
+        # a stray "d" would pass for a single everywhere but the writers
+        _tuple_of(self.backbone, "backbone", EdgeMark)
+        for bundle in _tuple_of(self.bundles, "bundles", tuple):
+            for hanging in _tuple_of(bundle, "bundle", tuple):
+                _tuple_of(hanging, "hanging path", EdgeMark)
 
 
 @dataclass(frozen=True, slots=True)

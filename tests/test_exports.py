@@ -40,12 +40,13 @@ delete_leading_domino render_tiling CheckResult run_checks timed_checks
 # Names that are gone from the package and from every module: one-line
 # wrappers around an operator, a method or str(), names that no
 # command, verify check or benchmark workload reached, and a record and
-# helpers that had one caller, which now does their work itself, and the
-# series' own order check, which numbers._size replaced.
+# helpers that had one caller, which now does their work itself, the
+# series' own order check, which numbers._size replaced, and the trees'
+# own mark check, which paths._tuple_of replaced.
 REMOVED = """
 series_add series_mul series_div rational_coeffs format_coefficient quad_pow
 statistics StatsSummary format_bfile DEFAULT_ORDER _fractions Polynomial _poly
-PathStats path_stats _checked _check_order
+PathStats path_stats _checked _check_order _check_marks
 """.split()
 
 # members that nothing outside their own tests reached, or that had one caller

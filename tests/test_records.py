@@ -2,10 +2,11 @@
 
 A record parser returns a value or raises its own record error, never
 another exception.  Every count, length, order and size is exactly an
-``int`` at or above its least value, or a ``ValueError`` names it.  The
-CLI answers any argv with exit 0 and a quiet stderr, or with exit 2 and
-one ``error:`` line, and answers it the same way when called again in
-the same process.
+``int`` at or above its least value, or a ``ValueError`` names it, and
+every record holds tuples all through, or a ``ValueError`` names the
+field.  The CLI answers any argv with exit 0 and a quiet stderr, or with
+exit 2 and one ``error:`` line, and answers it the same way when called
+again in the same process.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from deutschpaths import (
     FORM_NAMES,
     SILVER_RATIO,
+    UP,
+    Decomposition,
+    DeutschPath,
     Down,
+    EdgeMark,
+    MarkedTree,
+    Mountain,
     PathTokenError,
     TreeRecordError,
     TruncatedSeries,
@@ -267,3 +274,69 @@ def test_a_size_is_exactly_an_int(take, what, least, value):
 def test_a_size_below_its_least_is_refused(take, what, least):
     with pytest.raises(ValueError, match=f"^{re.escape(what)} must be >= {least}$"):
         take(least - 1)
+
+
+_M = Mountain((1,))
+_S, _D = EdgeMark.SINGLE, EdgeMark.DOUBLE
+
+# every tuple level of every record: a builder that puts a value at that
+# level of an otherwise well-shaped record, a well-shaped value, the name
+# a refusal gives the level, the level that holds it (None for a field),
+# and the exact type of its items (None where they go unchecked, or are
+# composition parts, which the composition rule checks)
+SHAPES = {
+    "DeutschPath.steps": (DeutschPath, (UP, Down(1)), "steps", None, None),
+    "Mountain.descent": (Mountain, (2, 1), "descent", None, None),
+    "Decomposition.bundles": (
+        lambda v: Decomposition(v, (1,)), ((_M,),), "bundles", None, tuple
+    ),
+    "Decomposition.bundle": (
+        lambda v: Decomposition((v,), (1,)), (_M, _M), "bundle", "bundles", Mountain
+    ),
+    "Decomposition.homerun": (
+        lambda v: Decomposition(((),), v), (1,), "home run", None, None
+    ),
+    "MarkedTree.backbone": (lambda v: MarkedTree(v, ((),)), (_D,), "backbone", None, EdgeMark),
+    "MarkedTree.bundles": (lambda v: MarkedTree((_D,), v), (((_D,),),), "bundles", None, tuple),
+    "MarkedTree.bundle": (
+        lambda v: MarkedTree((_D,), (v,)), ((_D,), (_S, _D)), "bundle", "bundles", tuple
+    ),
+    "MarkedTree.hanging": (
+        lambda v: MarkedTree((_D,), ((v,),)), (_S, _D), "hanging path", "bundle", EdgeMark
+    ),
+}
+
+
+@pytest.mark.parametrize("build, good, what, held_in, kind", SHAPES.values(), ids=SHAPES)
+@pytest.mark.parametrize("wrong", [list, lambda good: range(len(good))], ids=["list", "range"])
+def test_a_record_level_is_exactly_a_tuple(build, good, what, held_in, kind, wrong):
+    # a list would build a frozen record that neither hashes nor equals
+    # its tuple twin; a level held in another is refused as that one's item
+    assert hash(build(good)) == hash(build(tuple(list(good))))
+    value = wrong(good)
+    got = type(value).__name__
+    if held_in is None:
+        message = f"^{re.escape(what)} must be a tuple, got {got}$"
+    else:
+        message = f"^{held_in} must hold only tuples, got {got}$"
+    with pytest.raises(ValueError, match=message):
+        build(value)
+
+
+# near misses: a mark's letter, a mountain's descent, a list of marks
+WRONG_ITEMS = [None, 1, "d", (1,), [_D]]
+TYPED_LEVELS = [
+    pytest.param(build, good + (item,), what, kind, item, id=f"{name}-{type(item).__name__}")
+    for name, (build, good, what, held_in, kind) in SHAPES.items()
+    if kind is not None
+    for item in WRONG_ITEMS
+    if type(item) is not kind
+]
+
+
+@pytest.mark.parametrize("build, value, what, kind, item", TYPED_LEVELS)
+def test_a_typed_level_holds_only_its_kind(build, value, what, kind, item):
+    # a stray "d" would pass for a single everywhere but the writers
+    message = f"^{re.escape(what)} must hold only {kind.__name__}s, got {type(item).__name__}$"
+    with pytest.raises(ValueError, match=message):
+        build(value)

@@ -155,6 +155,27 @@ def test_the_size_rule_is_spelled_once():
     assert all(name == helper[0] and line in helper[1] for name, line in found)
 
 
+def test_the_shape_rule_is_spelled_once():
+    # paths._tuple_of alone spells the records' two shape messages and
+    # compares a type with tuple, so no record writes its own check
+    fragments = ("must be a tuple", "must hold only")
+    found, compared, helper = [], [], None
+    for source in SOURCES:
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_tuple_of":
+                helper = source.name, range(node.lineno, node.end_lineno + 1)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if any(fragment in node.value for fragment in fragments):
+                    found.append((source.name, node.lineno))
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(getattr(operand, "id", None) == "tuple" for operand in operands):
+                    compared.append((source.name, node.lineno))
+    assert len(found) == 2
+    assert len(compared) == 1
+    assert all(name == helper[0] and line in helper[1] for name, line in found + compared)
+
+
 def test_one_walk_checks_the_ground_rules():
     # the end rule and the below-ground error are raised by
     # paths.is_nondecreasing alone; every other check calls it

@@ -85,6 +85,11 @@ class TestMarkCodes:
             with pytest.raises(ValueError, match=message):
                 composition_to_marks((2, part))
 
+    def test_a_composition_is_a_tuple(self):
+        # the parts go through the records' shape rule, so a list is refused
+        with pytest.raises(ValueError, match="^composition must be a tuple, got list$"):
+            composition_to_marks([1, 2])
+
     @given(st.lists(st.integers(1, 6), max_size=8).map(tuple))
     def test_codes_invert(self, parts):
         assert marks_to_composition(composition_to_marks(parts)) == parts
@@ -181,24 +186,6 @@ class TestValidation:
     def test_hanging_paths_must_be_nonempty(self):
         problems = validate_tree(_tree([D], [[[]]]))
         assert problems == ["node 0, hanging path 0: must be nonempty"]
-
-    def test_tree_refuses_a_field_that_is_not_a_tuple(self):
-        # a list would build a frozen tree that cannot key the census dict
-        with pytest.raises(ValueError, match="^backbone must be a tuple$"):
-            MarkedTree([D], ((),))
-        for bundles in ([()], ([],), (([D],),), ((), [()])):
-            with pytest.raises(ValueError, match="^bundles and their hanging paths must be tuples$"):
-                MarkedTree((S, D), bundles)
-        tree = MarkedTree((D,), (((D,),),))
-        assert hash(tree) == hash(_tree([D], [[[D]]]))
-
-    def test_tree_refuses_a_mark_that_is_not_an_edge_mark(self):
-        # a stray "d" would count as a single and break only the writers
-        with pytest.raises(ValueError, match="^backbone marks must be EdgeMarks, got 'd'$"):
-            MarkedTree(("d",), ((),))
-        for hanging in (("d",), (S, None), (D, "s", D)):
-            with pytest.raises(ValueError, match="^hanging path marks must be EdgeMarks, got "):
-                MarkedTree((S, D), ((), (hanging,)))
 
     def test_bundle_count_must_match(self):
         problems = validate_tree(MarkedTree((D,), ()))

@@ -345,6 +345,18 @@ FAULTS = {
             ),
         },
     ),
+    # a fault at a check's top index fails it, so no range stops short
+    "closed-count-routes.top": (
+        numbers,
+        "count_nondecreasing_quadratic",
+        wrong_on(verify.SEQUENCE_LIMIT, lambda c: c + 1),
+        {
+            "closed-count-routes": (
+                "numbers: closed count equals ring evaluation and series",
+                "n=64",
+            ),
+        },
+    ),
     "unit-down.non-integral": (
         series,
         "gf_coefficients",
@@ -444,6 +456,22 @@ FAULTS = {
             "pell-binet": ("numbers: Pell recurrence matches Binet", "n=10"),
         },
     ),
+    "pell-binet.top": (
+        numbers,
+        "binet_pell",
+        wrong_on(verify.SEQUENCE_LIMIT, lambda p: p + 1),
+        {
+            "pell-binet": ("numbers: Pell recurrence matches Binet", "n=64"),
+        },
+    ),
+    "mountain-binomials.top": (
+        numbers,
+        "count_mountains",
+        wrong_on(verify.SEQUENCE_LIMIT, lambda c: c + 1),
+        {
+            "mountain-binomials": ("numbers: mountain binomial sums equal F(k-1)", "k=64"),
+        },
+    ),
     "pell-binet.half-companion": (
         numbers,
         "binet_half_companion",
@@ -458,6 +486,14 @@ FAULTS = {
         wrong_on(7, lambda c: c + 1),
         {
             "tilings": ("numbers: tiling count equals F(n+1)", "n=7"),
+        },
+    ),
+    "tilings.top": (
+        numbers,
+        "count_tilings",
+        wrong_on(verify.TILING_LIMIT, lambda c: c + 1),
+        {
+            "tilings": ("numbers: tiling count equals F(n+1)", "n=20"),
         },
     ),
     "tilings.enumeration": (
