@@ -132,6 +132,22 @@ class TestParsing:
         with pytest.raises(PathTokenError):
             parse_path(f"U {token}")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("U D0 X D0", "bad step token 'D0'"),
+            ("U X D0 X", "bad step token 'X'"),
+            ("U D1 U U D01 D1", "bad step token 'D01'"),
+        ],
+    )
+    def test_the_first_bad_token_is_named(self, text, message):
+        with pytest.raises(PathTokenError) as info:
+            parse_path(text)
+        assert str(info.value) == message
+        with pytest.raises(PathTokenError) as info:
+            path_from_json(json.dumps({"steps": text.split()}))
+        assert str(info.value) == message
+
     def test_down_size_past_the_digit_limit(self, int_digit_limit):
         with pytest.raises(PathTokenError):
             parse_path("D" + "9" * 5000)

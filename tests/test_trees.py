@@ -234,6 +234,40 @@ class TestSerialisation:
         with pytest.raises(TreeRecordError):
             tree_from_json('{"backbone": ' + "1" * 5000 + "}")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                '{"backbone":["s","x","y"],"bundles":[[]]}',
+                """backbone: marks must be "s" or "d", got 'x'""",
+            ),
+            ('{"backbone":"sd","bundles":[]}', "backbone: expected a list of marks"),
+            ('{"backbone":{"s":1},"bundles":[]}', "backbone: expected a list of marks"),
+            (
+                '{"backbone":["s","d"],"bundles":[[["d"]],[["d"],["d"],["s",[],"x"]]]}',
+                'node 1, hanging path 2: marks must be "s" or "d", got []',
+            ),
+            (
+                '{"backbone":["d"],"bundles":[[["d"],["s",null]]]}',
+                'node 0, hanging path 1: marks must be "s" or "d", got None',
+            ),
+            (
+                '{"backbone":["d"],"bundles":[[["d"],"d"]]}',
+                "node 0, hanging path 1: expected a list of marks",
+            ),
+            # the first node's bad mark comes before the second's bad bundle
+            (
+                '{"backbone":["d"],"bundles":[[["x"]],"d"]}',
+                """node 0, hanging path 0: marks must be "s" or "d", got 'x'""",
+            ),
+            ('{"backbone":["d"],"bundles":[[],"d"]}', "node 1: expected a list of hanging paths"),
+        ],
+    )
+    def test_bad_records_name_the_first_fault(self, text, message):
+        with pytest.raises(TreeRecordError) as info:
+            tree_from_json(text)
+        assert str(info.value) == message
+
     def test_outline(self):
         tree = path_to_tree(parse_path("U D1 U U D2"))
         assert render_outline(tree) == (
