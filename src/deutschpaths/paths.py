@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, combinations_with_replacement, groupby, pairwise, product
+from operator import attrgetter
 from typing import Iterator
 
 from .numbers import _size
@@ -155,18 +156,29 @@ def _parse_token(token: str) -> Step:
     return Down(size)
 
 
+def _steps_of(tokens: list[str]) -> tuple[Step, ...]:
+    # each distinct token is parsed once, in order of first appearance, so
+    # the first bad token is the one named, and its step is shared by all
+    # its copies; the table lives for the call, as a path's sizes are
+    # unbounded and `_down` would keep every one
+    steps = {token: _parse_token(token) for token in dict.fromkeys(tokens)}
+    return tuple(map(steps.__getitem__, tokens))
+
+
 def parse_path(text: str) -> DeutschPath:
     """Parse whitespace separated step tokens into a path.
 
     Each token is "U" or "D<k>" with k a positive decimal integer
     carrying no leading zeros, so "D0", "D01" and "d1" are all
-    rejected.  The empty string parses to the empty path.  No ground
-    rule is checked here; use :func:`validate` for that.
+    rejected, and the first bad token is the one named.  The empty
+    string parses to the empty path.  No ground rule is checked here;
+    use :func:`validate` for that.  Each distinct token is parsed once
+    per call, and its copies share one step.
 
     >>> parse_path("U D1 U U D2").steps[1]
     Down(size=1)
     """
-    return DeutschPath(tuple(_parse_token(t) for t in text.split()))
+    return DeutschPath(_steps_of(text.split()))
 
 
 def _tokens(path: DeutschPath) -> list[str]:
@@ -208,9 +220,10 @@ def path_from_json(text: str) -> DeutschPath:
     if not isinstance(record, dict) or set(record) != {"steps"}:
         raise PathTokenError('path record must be an object with a "steps" key')
     tokens = record["steps"]
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+    # json.loads builds exact strs, so a type test is the isinstance test
+    if not isinstance(tokens, list) or not {str}.issuperset(map(type, tokens)):
         raise PathTokenError('"steps" must be a list of token strings')
-    return DeutschPath(tuple(_parse_token(t) for t in tokens))
+    return DeutschPath(_steps_of(tokens))
 
 
 def validate(path: DeutschPath) -> DeutschPath:
@@ -373,6 +386,9 @@ class Decomposition:
         return len(self.bundles)
 
 
+_step_size = attrgetter("size")
+
+
 def decompose(path: DeutschPath) -> Decomposition:
     """Split a validated path with weakly increasing valleys.
 
@@ -388,12 +404,12 @@ def decompose(path: DeutschPath) -> Decomposition:
     validate(path)
     # alternating up- and down-runs; the last down-run is the home run
     runs = [tuple(run) for _, run in groupby(path.steps, type)]
-    homerun = tuple(s.size for s in runs[-1]) if runs else ()
+    homerun = tuple(map(_step_size, runs[-1])) if runs else ()
     height = sum(homerun)
     bundles: list[list[Mountain]] = [[] for _ in range(height)]
     level = 0  # the valley before, or the ground
     for ups, downs in zip(runs[:-2:2], runs[1:-2:2]):
-        descent = tuple(s.size for s in downs)
+        descent = tuple(map(_step_size, downs))
         fall = sum(descent)
         base = level + len(ups) - fall
         # valleys that never dip all lie below the height
@@ -413,10 +429,10 @@ def compose(dec: Decomposition) -> DeutschPath:
     steps: list[Step] = []
     for bundle in dec.bundles:
         for mountain in bundle:
-            steps.extend([UP] * mountain.ups)
-            steps.extend(_down(d) for d in mountain.descent)
+            steps += [UP] * mountain.ups
+            steps += map(_down, mountain.descent)
         steps.append(UP)
-    steps.extend(_down(d) for d in dec.homerun)
+    steps += map(_down, dec.homerun)
     return validate(DeutschPath(tuple(steps)))
 
 

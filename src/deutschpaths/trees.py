@@ -17,10 +17,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from operator import is_
 
 from .paths import (
-    _RECORD_ENCODER, Decomposition, DeutschPath, Mountain, _composition, _tuple_of, compose,
-    decompose,
+    Decomposition, DeutschPath, Mountain, _composition, _tuple_of, compose, decompose,
 )
 
 __all__ = [
@@ -100,6 +101,10 @@ class TreeStats:
         return self.edge_count + self.double_count
 
 
+# one-mark tuples: a part's run is then two in-place additions, no call
+_SINGLE, _DOUBLE = (EdgeMark.SINGLE,), (EdgeMark.DOUBLE,)
+
+
 def composition_to_marks(parts: tuple[int, ...]) -> tuple[EdgeMark, ...]:
     """Turn a composition into marks, one part at a time.
 
@@ -110,8 +115,8 @@ def composition_to_marks(parts: tuple[int, ...]) -> tuple[EdgeMark, ...]:
     _composition(parts, "composition")
     marks: list[EdgeMark] = []
     for part in parts:
-        marks.extend([EdgeMark.SINGLE] * (part - 1))
-        marks.append(EdgeMark.DOUBLE)
+        marks += _SINGLE * (part - 1)
+        marks += _DOUBLE
     return tuple(marks)
 
 
@@ -160,11 +165,8 @@ def path_to_tree(path: DeutschPath) -> MarkedTree:
     """
     dec = decompose(path)
     backbone = composition_to_marks(dec.homerun)
-    bundles = tuple(
-        tuple(composition_to_marks(m.descent) for m in bundle)
-        for bundle in dec.bundles
-    )
-    return MarkedTree(backbone, bundles)
+    bundles = [tuple([composition_to_marks(m.descent) for m in b]) for b in dec.bundles]
+    return MarkedTree(backbone, tuple(bundles))
 
 
 def tree_to_path(tree: MarkedTree) -> DeutschPath:
@@ -176,10 +178,8 @@ def tree_to_path(tree: MarkedTree) -> DeutschPath:
     if problems:
         raise TreeInvariantError(problems)
     homerun = marks_to_composition(tree.backbone)
-    bundles = tuple(
-        tuple(Mountain(marks_to_composition(h)) for h in bundle) for bundle in tree.bundles
-    )
-    return compose(Decomposition(bundles, homerun))
+    bundles = [tuple([Mountain(marks_to_composition(h)) for h in b]) for b in tree.bundles]
+    return compose(Decomposition(tuple(bundles), homerun))
 
 
 def tree_statistics(tree: MarkedTree) -> TreeStats:
@@ -190,28 +190,46 @@ def tree_statistics(tree: MarkedTree) -> TreeStats:
     return TreeStats(edge_count=edges, double_count=doubles)
 
 
+# a mark's JSON text, indexed by `mark is EdgeMark.DOUBLE`: an Enum's
+# value is a Python-level property and its hash a Python-level method
+_MARK_TEXT = ('"s"', '"d"')
+
+
+def _marks_json(marks: tuple[EdgeMark, ...]) -> str:
+    doubles = map(is_, marks, repeat(EdgeMark.DOUBLE))
+    return "[" + ",".join(map(_MARK_TEXT.__getitem__, doubles)) + "]"
+
+
 def tree_to_json(tree: MarkedTree) -> str:
     """Serialise as ``{"backbone": [...], "bundles": [[[...], ...], ...]}``.
 
-    Marks appear as the lowercase letters "s" and "d".  The output is
-    compact and deterministic.
+    Marks appear as the lowercase letters "s" and "d".  The bytes are
+    those of ``json.dumps`` with ``(",", ":")`` separators, written here
+    directly as :func:`~deutschpaths.paths.path_to_json` writes its own:
+    no mark needs escaping, and an encoder call would build a new C
+    encoder each time.
     """
-    record = {
-        "backbone": [m.value for m in tree.backbone],
-        "bundles": [[[m.value for m in h] for h in bundle] for bundle in tree.bundles],
-    }
-    return _RECORD_ENCODER.encode(record)
+    bundles = ["[" + ",".join(map(_marks_json, bundle)) + "]" for bundle in tree.bundles]
+    return '{"backbone":' + _marks_json(tree.backbone) + ',"bundles":[' + ",".join(bundles) + "]}"
 
 
-def _marks_from_record(raw: object, where: str) -> tuple[EdgeMark, ...]:
-    if not isinstance(raw, list):
-        raise TreeRecordError(f"{where}: expected a list of marks")
-    marks = []
-    for item in raw:
-        if item not in ("s", "d"):
-            raise TreeRecordError(f'{where}: marks must be "s" or "d", got {item!r}')
-        marks.append(EdgeMark(item))
-    return tuple(marks)
+# the marks by their letters, for the reader; str keys hash in C
+_MARK_OF = {"s": EdgeMark.SINGLE, "d": EdgeMark.DOUBLE}
+
+
+def _marks_from_record(raw: object, *where: int) -> tuple[EdgeMark, ...]:
+    # `where` is the node and slot of a hanging path, or nothing for the
+    # backbone; the place is spelled out only for an error
+    if isinstance(raw, list):
+        try:
+            return tuple(map(_MARK_OF.__getitem__, raw))
+        except (KeyError, TypeError):  # a letter other than s or d, or a list
+            bad = next(item for item in raw if item not in ("s", "d"))
+            problem = f'marks must be "s" or "d", got {bad!r}'
+    else:
+        problem = "expected a list of marks"
+    place = "node {}, hanging path {}".format(*where) if where else "backbone"
+    raise TreeRecordError(f"{place}: {problem}")
 
 
 def tree_from_json(text: str) -> MarkedTree:
@@ -223,7 +241,7 @@ def tree_from_json(text: str) -> MarkedTree:
         raise TreeRecordError(f"bad tree record: {exc}") from None
     if not isinstance(record, dict) or set(record) != {"backbone", "bundles"}:
         raise TreeRecordError('tree record must have exactly the keys "backbone" and "bundles"')
-    backbone = _marks_from_record(record["backbone"], "backbone")
+    backbone = _marks_from_record(record["backbone"])
     raw_bundles = record["bundles"]
     if not isinstance(raw_bundles, list):
         raise TreeRecordError("bundles: expected a list per backbone node")
@@ -232,10 +250,7 @@ def tree_from_json(text: str) -> MarkedTree:
         if not isinstance(raw_bundle, list):
             raise TreeRecordError(f"node {node}: expected a list of hanging paths")
         bundles.append(
-            tuple(
-                _marks_from_record(raw, f"node {node}, hanging path {slot}")
-                for slot, raw in enumerate(raw_bundle)
-            )
+            tuple([_marks_from_record(raw, node, slot) for slot, raw in enumerate(raw_bundle)])
         )
     return MarkedTree(backbone, tuple(bundles))
 
