@@ -192,9 +192,9 @@ def render_path(path: DeutschPath) -> str:
     return " ".join(_tokens(path))
 
 
-# The encoder of the package's other record writers (trees, series and
-# the table and verify reports): json.dumps with separators other than
-# its default builds a new JSONEncoder per call.
+# The encoder of the package's other record writers (series and the
+# table and verify reports): json.dumps with separators other than its
+# default builds a new JSONEncoder per call.
 _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from operator import is_
 
 from .paths import (
     Decomposition, DeutschPath, Mountain, _composition, _tuple_of, compose, decompose,
@@ -190,14 +188,11 @@ def tree_statistics(tree: MarkedTree) -> TreeStats:
     return TreeStats(edge_count=edges, double_count=doubles)
 
 
-# a mark's JSON text, indexed by `mark is EdgeMark.DOUBLE`: an Enum's
-# value is a Python-level property and its hash a Python-level method
-_MARK_TEXT = ('"s"', '"d"')
-
-
 def _marks_json(marks: tuple[EdgeMark, ...]) -> str:
-    doubles = map(is_, marks, repeat(EdgeMark.DOUBLE))
-    return "[" + ",".join(map(_MARK_TEXT.__getitem__, doubles)) + "]"
+    # each mark is told by identity and calls nothing, as an Enum's value
+    # is a Python-level property and its hash a Python-level method
+    double = EdgeMark.DOUBLE
+    return "[" + ",".join(['"d"' if mark is double else '"s"' for mark in marks]) + "]"
 
 
 def tree_to_json(tree: MarkedTree) -> str:
