@@ -18,9 +18,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .paths import (
-    Decomposition, DeutschPath, Mountain, _composition, _tuple_of, compose, decompose,
-)
+from .paths import Decomposition, DeutschPath, Mountain, _composition, _tuple_of, compose, decompose
 
 __all__ = [
     "EdgeMark",
@@ -218,7 +216,7 @@ def _marks_from_record(raw: object, *where: int) -> tuple[EdgeMark, ...]:
     if isinstance(raw, list):
         try:
             return tuple(map(_MARK_OF.__getitem__, raw))
-        except (KeyError, TypeError):  # a letter other than s or d, or a list
+        except (KeyError, TypeError):  # an item other than s or d; a list does not hash
             bad = next(item for item in raw if item not in ("s", "d"))
             problem = f'marks must be "s" or "d", got {bad!r}'
     else:
