@@ -67,9 +67,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    write = paths.path_to_json if args.json else paths.render_path
-    for p in paths.enumerate_nondecreasing_filter(numbers._size(args.length, "--length")):
-        print(write(p))
+    stream = paths.enumerate_nondecreasing_filter(numbers._size(args.length, "--length"))
+    for line in paths._lines(stream, paths._JSON if args.json else paths._TEXT):
+        print(line)
     return 0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, combinations_with_replacement, groupby, pairwise, product
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .numbers import _size
 
@@ -181,15 +181,29 @@ def parse_path(text: str) -> DeutschPath:
     return DeutschPath(_steps_of(text.split()))
 
 
-def _tokens(path: DeutschPath) -> list[str]:
-    # one comprehension, no call or formatting per step: listing renders
-    # every step, and each Down carries its token
-    return ["U" if s is UP else s.token for s in path.steps]
+# The two ways a path is written, each as (opening, separator, closing,
+# empty): a nonempty path is its opening, its tokens joined by the
+# separator, and its closing; the empty path is `empty`.  The JSON is
+# that of json.dumps with (",", ":") separators, written directly: every
+# token is U or D and digits, so none needs escaping, and a call of
+# JSONEncoder.encode builds a new C encoder each time, which costs more
+# than the whole record.
+_TEXT = ("", " ", "", "")
+_JSON = ('{"steps":["', '","', '"]}', '{"steps":[]}')
+
+
+def _written(steps: tuple[Step, ...], form: tuple[str, str, str, str]) -> str:
+    # one comprehension, no call or formatting per step: each Down
+    # carries its token
+    opening, separator, closing, empty = form
+    if not steps:
+        return empty
+    return opening + separator.join(["U" if s is UP else s.token for s in steps]) + closing
 
 
 def render_path(path: DeutschPath) -> str:
     """Render a path as single-space separated tokens."""
-    return " ".join(_tokens(path))
+    return _written(path.steps, _TEXT)
 
 
 # The encoder of the package's other record writers (series and the
@@ -199,15 +213,33 @@ _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def path_to_json(path: DeutschPath) -> str:
-    """Serialise a path as ``{"steps":["U","D1",...]}``.
+    """Serialise a path as ``{"steps":["U","D1",...]}``, the bytes of
+    ``json.dumps`` with ``(",", ":")`` separators."""
+    return _written(path.steps, _JSON)
 
-    The bytes are those of ``json.dumps`` with ``(",", ":")`` separators,
-    written here directly: every token is ``U`` or ``D`` and digits, so
-    none needs escaping, and a call of ``JSONEncoder.encode`` builds a
-    new C encoder each time, which costs more than the whole record.
-    """
-    tokens = _tokens(path)
-    return '{"steps":["' + '","'.join(tokens) + '"]}' if tokens else '{"steps":[]}'
+
+def _lines(stream: Iterable[DeutschPath], form: tuple[str, str, str, str]) -> Iterator[str]:
+    # each path written as `_written` writes it, lazily.  The text of all
+    # but the last two steps is kept while the next paths share them, as
+    # a walk's successive paths do, and only the last two are written.
+    # Tuple == tells sharing, in C and at once on the steps a walk shares
+    # by identity, so any stream is written right; only the speed depends
+    # on its order.  A path of fewer than three steps is written whole.
+    opening, separator, closing, _ = form
+    head_form = (opening, separator, separator, opening)  # ends in a separator
+    kept: tuple[Step, ...] | None = None
+    for path in stream:
+        steps = path.steps
+        if len(steps) < 3:
+            yield _written(steps, form)
+            continue
+        prefix = steps[:-2]
+        if prefix != kept:
+            kept = prefix
+            head = _written(prefix, head_form)
+        a, b = steps[-2:]
+        a_token, b_token = "U" if a is UP else a.token, "U" if b is UP else b.token
+        yield f"{head}{a_token}{separator}{b_token}{closing}"  # one copy of the head
 
 
 def path_from_json(text: str) -> DeutschPath:

@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import errno
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -500,19 +501,70 @@ class TestErrors:
         assert result.returncode == 2
 
 
-class _ClosedAfterOneLine(io.StringIO):
-    # a reader such as `head -1` that leaves after the first line
+class _ClosedAfter(io.StringIO):
+    # a reader such as `head -n <lines>` that leaves after its lines
+    def __init__(self, lines):
+        super().__init__()
+        self.left = lines
+
     def write(self, text):
-        if "\n" in self.getvalue():
+        if not self.left:
             raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        self.left -= text.count("\n")
         return super().write(text)
 
 
 def test_main_lets_a_closed_pipe_through(int_digit_limit):
     with pytest.raises(BrokenPipeError):
-        with contextlib.redirect_stdout(_ClosedAfterOneLine()):
+        with contextlib.redirect_stdout(_ClosedAfter(1)):
             cli.main(["list", "--length", "8"])
     assert sys.get_int_max_str_digits() == 4300
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+def test_a_head_of_a_long_listing_is_written_path_by_path(int_digit_limit, flag):
+    sink = _ClosedAfter(1000)
+    with pytest.raises(BrokenPipeError):
+        with contextlib.redirect_stdout(sink):
+            cli.main(["list", "--length", "200", *flag])
+    assert sys.get_int_max_str_digits() == 4300
+    write = paths.path_to_json if flag else paths.render_path
+    head = itertools.islice(paths.enumerate_nondecreasing_filter(200), 1000)
+    assert sink.getvalue().splitlines() == [write(p) for p in head]
+
+
+@pytest.fixture
+def judged(monkeypatch):
+    """The paths handed to the module-level ``paths.is_nondecreasing``."""
+    seen = []
+    check = paths.is_nondecreasing
+
+    def counted(path):
+        seen.append(path)
+        return check(path)
+
+    monkeypatch.setattr(paths, "is_nondecreasing", counted)
+    return seen
+
+
+def test_list_judges_every_candidate(judged, capsys):
+    # as the benchmark's tracer counts: a writer that judged paths itself,
+    # or skipped candidates, would change the count
+    assert cli.main(["list", "--length", "8"]) == 0
+    assert len(judged) == 91
+    assert len(capsys.readouterr().out.splitlines()) == 85
+
+
+def test_the_first_line_needs_one_path(judged):
+    pulled = []
+
+    def stream():
+        for p in paths.enumerate_nondecreasing_filter(1500):
+            pulled.append(p)
+            yield p
+
+    assert next(paths._lines(stream(), paths._TEXT)) == "U " * 1499 + "D1499"
+    assert len(pulled) == len(judged) == 1
 
 
 @pytest.mark.parametrize(

@@ -231,6 +231,42 @@ class TestParsing:
             path_from_json('{"steps": ' + "1" * 5000 + "}")
 
 
+WRITERS = [(paths._TEXT, render_path), (paths._JSON, path_to_json)]
+
+TOKEN = st.sampled_from(["U", "D1", "D2", "D12"])
+
+# a few prefixes, and a stream of picks of one of them with up to two
+# tokens more, so prefixes repeat, interleave and share no step objects
+PICKS = st.lists(st.lists(TOKEN, max_size=5), min_size=1, max_size=3).flatmap(
+    lambda prefixes: st.lists(
+        st.tuples(st.sampled_from(prefixes), st.lists(TOKEN, max_size=2)), max_size=12
+    )
+)
+
+
+class TestStreamWriter:
+    @pytest.mark.parametrize("form, write", WRITERS, ids=["text", "json"])
+    def test_every_short_path_is_written_as_alone(self, form, write):
+        # the walks of n <= 12 one after another, so a kept prefix also
+        # meets the first path of the next length
+        stream = [p for n in range(13) for p in enumerate_deutsch(n)]
+        assert len(stream) == 6787
+        assert list(paths._lines(iter(stream), form)) == [write(p) for p in stream]
+
+    @given(PICKS)
+    @example([])
+    @example([([], [])])
+    @example([([], ["U"]), ([], ["D1", "U"]), ([], []), (["U"], ["U"]), ([], ["D2"])])
+    @example([(["U", "D1"], ["U", "D1"]), (["U", "U"], ["D2"]), (["U", "D1"], ["D2"])])
+    @example([(["U", "U", "D2"], ["U", "D1"]), (["U"], ["U", "D2"]), (["U", "U", "D2"], [])])
+    def test_any_stream_is_written_as_path_by_path(self, picks):
+        # parse_path builds its steps per call, so equal prefixes share
+        # no Down objects, and up to two steps more give lengths 0, 1, 2
+        stream = [parse_path(" ".join(prefix + more)) for prefix, more in picks]
+        for form, write in WRITERS:
+            assert list(paths._lines(iter(stream), form)) == [write(p) for p in stream]
+
+
 class TestValidation:
     def test_valid_examples(self):
         validate(parse_path("U U D2"))
