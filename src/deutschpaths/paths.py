@@ -275,10 +275,11 @@ def heights(path: DeutschPath) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _below_ground(path: DeutschPath, height: int) -> NegativeExcursionError:
-    # the error for a walk that fell to ``height`` < 0; the walk counts
-    # no positions, so the first step below the ground is found again
-    position = next(i for i, h in enumerate(heights(path), start=1) if h < 0)
+def _below_ground(path: DeutschPath) -> NegativeExcursionError:
+    # the error for a walk that fell below the ground; the walk counts no
+    # positions and finds the fall where its down-run ends, so the first
+    # step below the ground, and its level, are found again
+    position, height = next((i, h) for i, h in enumerate(heights(path), start=1) if h < 0)
     return NegativeExcursionError(position, height)
 
 
@@ -300,6 +301,22 @@ def valley_levels(path: DeutschPath) -> tuple[int, ...]:
     )
 
 
+# Paths longer than this resume from the last long prefix judged.  A
+# walk's whole stream shares each n - 2 prefix only about twice, and up
+# to here the two slices and the comparison cost as much as the steps
+# they spare (the measured crossover is in CHANGES.md).
+_RESUME_PAST = 32
+
+# The last long path judged, all but its last two steps, and the walk's
+# state after them: (prefix, height, fell, level, rising).  One tuple,
+# replaced whole and never mutated, so a judge in another thread reads
+# one entry or the other, which changes only the speed.  A prefix whose
+# walk breaks off is not stored; one that ends below the ground may be,
+# and every path resumed from it falls below the ground too.  The
+# prefix stays alive until the next long path replaces it.
+_walked: tuple = ((), 0, False, 0, True)
+
+
 def is_nondecreasing(path: DeutschPath) -> bool:
     """True when the valley levels weakly increase left to right.
 
@@ -308,27 +325,61 @@ def is_nondecreasing(path: DeutschPath) -> bool:
     valleys dip is still walked to its end.  It is the package's one
     ground-rule walk, so :func:`validate`, :func:`valley_levels` and
     :func:`as_mountain` raise what it raises.
+
+    One prefix is remembered: that of the last path of more than
+    ``_RESUME_PAST`` steps judged, its steps but the last two, with the
+    walk's state after them.  A long path whose steps but its last two
+    equal it (tuple ``==``), as successive paths of
+    :func:`enumerate_deutsch` do, resumes from that state and walks
+    only its last two steps.  The verdict and every error are those of
+    a walk over all the steps, whatever was judged before, in this
+    thread or another: the entry is one tuple, replaced whole.
     """
+    global _walked
+    steps = path.steps
     height = 0
     fell = False  # the step before was a down-step
     level = 0  # the last valley's level; none lies below the ground
     rising = True
-    for step in path.steps:
-        if step is UP:
-            if fell:
-                if height < level:
-                    rising = False
-                level = height
-                fell = False
-            height += 1
+    # `steps` is the part left to walk: a long path's head then its
+    # tail, or its tail alone when the head is the one remembered
+    head = None
+    if len(steps) > _RESUME_PAST:
+        head, tail = steps[:-2], steps[-2:]
+        walked = _walked  # read once: another thread may replace it
+        if head == walked[0]:
+            _, height, fell, level, rising = walked
+            steps = tail
         else:
-            height -= step.size
-            if height < 0:
-                raise _below_ground(path, height)
-            fell = True
-    if height != 0:
-        raise NonzeroEndError(height)
-    return rising
+            steps = head
+    # A fall below the ground is met where its down-run ends: at the
+    # valley it makes, which then lies below the last one (`level` never
+    # does), or at the end of the walk.  So down-steps test nothing, and
+    # a walk that fell leaves the loop by `break`.
+    while True:
+        for step in steps:
+            if step is UP:
+                if fell:
+                    if height < level:
+                        if height < 0:
+                            break
+                        rising = False
+                    level = height
+                    fell = False
+                height += 1
+            else:
+                height -= step.size
+                fell = True
+        else:
+            if steps is head:
+                _walked = (head, height, fell, level, rising)
+                steps = tail
+                continue
+            if height == 0:
+                return rising
+            if height > 0:
+                raise NonzeroEndError(height)
+        raise _below_ground(path)
 
 
 def _tuple_of(value: tuple, what: str, kind: type | None = None) -> tuple:
@@ -539,8 +590,16 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
 
 def enumerate_nondecreasing_filter(n: int) -> Iterator[DeutschPath]:
     """Brute-force stream: every length-``n`` path that keeps its valleys
-    weakly increasing, in canonical order.  Each candidate is validated
-    in full, which is what makes this the reference oracle."""
+    weakly increasing, in canonical order.
+
+    Every candidate of :func:`enumerate_deutsch` goes to
+    :func:`is_nondecreasing` once, and each verdict covers every step,
+    which is what makes this the reference oracle.  Past
+    ``_RESUME_PAST`` steps the judge resumes a candidate from its
+    remembered prefix, the previous candidate's steps but the last two,
+    so it walks two steps of each candidate but the first on a prefix.
+    That entry is one tuple, replaced whole, so threads may judge at
+    once."""
     return filter(is_nondecreasing, enumerate_deutsch(n))
 
 

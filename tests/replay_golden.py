@@ -11,18 +11,24 @@ under pytest.  Run as a script it needs only the standard library, so
 any interpreter can replay the corpus::
 
     PYTHONPATH=src python3 tests/replay_golden.py
+    PYTHONPATH=src python3 tests/replay_golden.py python3.10 python3.13
 
 It replays the table twice in one interpreter, the second time in
 reverse order, so that state one call leaves behind for the next (the
 CLI builds its parser once per process) shows as a mismatch.  It names
 each case whose output differs, with its pass, and exits 1 if there is
-one.
+one.  Given interpreters, it runs itself under each of them in turn,
+with ``src`` on their path, prints what each prints, each line headed
+by that interpreter, and exits 1 if any pass differs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from deutschpaths import FORM_NAMES, cli
@@ -70,6 +76,27 @@ def run_main(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def replay_under(pythons: list[str]) -> int:
+    src = Path(__file__).resolve().parents[1] / "src"
+    failed = False
+    for python in pythons:
+        try:
+            result = subprocess.run(
+                [python, __file__],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+            )
+        except OSError as exc:
+            print(f"{python}: cannot run: {exc}")
+            failed = True
+            continue
+        for line in (result.stdout + result.stderr).splitlines():
+            print(f"{python}: {line}")
+        failed |= result.returncode != 0 or bool(result.stderr)
+    return 1 if failed else 0
+
+
 def main() -> int:
     failed = 0
     for label, names in (("first", sorted(CASES)), ("reversed", sorted(CASES, reverse=True))):
@@ -86,4 +113,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(replay_under(sys.argv[1:]) if sys.argv[1:] else main())

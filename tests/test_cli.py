@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_judge import reference_is_nondecreasing
 
 from deutschpaths import cli, fibonacci, numbers, paths, series, trees
 
@@ -553,6 +554,30 @@ def test_list_judges_every_candidate(judged, capsys):
     assert cli.main(["list", "--length", "8"]) == 0
     assert len(judged) == 91
     assert len(capsys.readouterr().out.splitlines()) == 85
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+def test_list_judges_every_candidate_past_the_threshold(judged, monkeypatch, flag):
+    # paths of 60 steps resume from the last prefix judged, yet each
+    # candidate the walk yields is still handed to the judge once
+    assert 60 > paths._RESUME_PAST
+    pulled = []
+    walk = paths.enumerate_deutsch
+
+    def counted(n):
+        for p in walk(n):
+            pulled.append(p)
+            yield p
+
+    monkeypatch.setattr(paths, "enumerate_deutsch", counted)
+    sink = _ClosedAfter(1000)
+    with pytest.raises(BrokenPipeError):
+        with contextlib.redirect_stdout(sink):
+            cli.main(["list", "--length", "60", *flag])
+    assert judged == pulled and len(pulled) > 1000
+    write = paths.path_to_json if flag else paths.render_path
+    head = itertools.islice(filter(reference_is_nondecreasing, walk(60)), 1000)
+    assert sink.getvalue().splitlines() == [write(p) for p in head]
 
 
 def test_the_first_line_needs_one_path(judged):

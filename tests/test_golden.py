@@ -49,3 +49,24 @@ def test_the_script_replays_the_corpus_in_both_orders():
         f"{len(CASES)}/{len(CASES)} golden cases match ({label} pass)"
         for label in ("first", "reversed")
     ]
+
+
+def test_the_script_replays_under_each_interpreter_given(tmp_path):
+    # this interpreter replays the corpus; one that cannot start fails
+    # the replay
+    src = Path(__file__).parents[1] / "src"
+    missing = str(tmp_path / "no-python")
+    result = subprocess.run(
+        [sys.executable, replay_golden.__file__, sys.executable, missing],
+        env={**os.environ, "PYTHONPATH": str(src.resolve())},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (1, "")
+    lines = result.stdout.splitlines()
+    assert lines[:2] == [
+        f"{sys.executable}: {len(CASES)}/{len(CASES)} golden cases match ({label} pass)"
+        for label in ("first", "reversed")
+    ]
+    assert len(lines) == 3 and lines[2].startswith(f"{missing}: cannot run: ")
