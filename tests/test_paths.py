@@ -44,6 +44,7 @@ from deutschpaths import (
     validate,
 )
 from deutschpaths import paths
+from test_judge import finished
 
 # Counts of all weakly-increasing-valley paths by length, 0 through 12.
 # Derived by dynamic programming (see _count_nondecreasing_dp below) and
@@ -244,6 +245,17 @@ PICKS = st.lists(st.lists(TOKEN, max_size=5), min_size=1, max_size=3).flatmap(
 )
 
 
+def _shared(picks):
+    # the picks built as the walk builds its paths: each prefix parsed
+    # once, so one object, and carried by every pick of two tokens more;
+    # the other picks carry none
+    heads = {}
+    for prefix, more in picks:
+        head = heads.setdefault(tuple(prefix), parse_path(" ".join(prefix)).steps)
+        tail = parse_path(" ".join(more)).steps
+        yield finished(head, tail) if len(tail) == 2 else DeutschPath(head + tail)
+
+
 class TestStreamWriter:
     @pytest.mark.parametrize("form, write", WRITERS, ids=["text", "json"])
     def test_every_short_path_is_written_as_alone(self, form, write):
@@ -259,12 +271,20 @@ class TestStreamWriter:
     @example([([], ["U"]), ([], ["D1", "U"]), ([], []), (["U"], ["U"]), ([], ["D2"])])
     @example([(["U", "D1"], ["U", "D1"]), (["U", "U"], ["D2"]), (["U", "D1"], ["D2"])])
     @example([(["U", "U", "D2"], ["U", "D1"]), (["U"], ["U", "D2"]), (["U", "U", "D2"], [])])
+    # prefixes of one length, and the empty prefix, one after another
+    @example([(["U", "U"], ["U", "D3"]), (["U", "D1"], ["U", "D1"]), ([], ["U", "D1"])])
     def test_any_stream_is_written_as_path_by_path(self, picks):
         # parse_path builds its steps per call, so equal prefixes share
-        # no Down objects, and up to two steps more give lengths 0, 1, 2
-        stream = [parse_path(" ".join(prefix + more)) for prefix, more in picks]
-        for form, write in WRITERS:
-            assert list(paths._lines(iter(stream), form)) == [write(p) for p in stream]
+        # no Down objects and no path carries a prefix, and up to two
+        # steps more give lengths 0, 1, 2; then the same picks with their
+        # prefixes shared as the walk shares them, alone and taking turns
+        # with the parsed paths
+        parsed = [parse_path(" ".join(prefix + more)) for prefix, more in picks]
+        shared = list(_shared(picks))
+        assert shared == parsed
+        for stream in (parsed, shared, [p for pair in zip(parsed, shared) for p in pair]):
+            for form, write in WRITERS:
+                assert list(paths._lines(iter(stream), form)) == [write(p) for p in stream]
 
 
 class TestValidation:
@@ -523,15 +543,56 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", [*range(11), 300])
     def test_walked_paths_are_ordinary_paths(self, n):
-        # the walk builds its paths without __init__; every path up to
-        # length 10 (603 at most), the first 2,000 at length 300
+        # the walk builds its paths without __init__ and gives them their
+        # prefix, which no comparison, hash, repr or key sees: a twin
+        # carrying none, or another object, is the same path.  Every path
+        # up to length 10 (603 at most), the first 2,000 at length 300
         for p in islice(enumerate_deutsch(n), 2000):
             built = DeutschPath(p.steps)
+            other = finished(tuple(list(p.steps[:-2])), p.steps[-2:])
             assert type(p) is DeutschPath
-            assert p == built
-            assert hash(p) == hash(built)
-            assert repr(p) == repr(built)
-            assert p.sort_key() == built.sort_key()
+            assert repr(p) == f"DeutschPath(steps={p.steps!r})"
+            for twin in (built, other):
+                assert p == twin
+                assert hash(p) == hash(twin)
+                assert repr(p) == repr(twin)
+                assert p.sort_key() == twin.sort_key()
+        assert DeutschPath.__match_args__ == ("steps",)
+
+    @pytest.mark.parametrize("n", [*range(11), 300])
+    def test_walked_paths_carry_their_shared_prefix(self, n):
+        # every path of three steps or more carries its steps but the
+        # last two, one object for all the paths that share them; the
+        # shorter paths are built whole and carry none
+        objects = {}
+        for p in islice(enumerate_deutsch(n), 2000):
+            if n < 3:
+                assert p._prefix is None
+            else:
+                assert p._prefix == p.steps[:-2]
+                assert objects.setdefault(p._prefix, p._prefix) is p._prefix
+
+    def test_other_routes_carry_no_prefix_or_their_own(self):
+        # each other way a path is built, copies and pickles of walked
+        # paths too, gives it no prefix, or one equal to its steps but
+        # the last two
+        walked = [p for n in range(3, 9) for p in enumerate_deutsch(n)]
+        for p in walked:
+            routes = [
+                DeutschPath(p.steps),
+                parse_path(render_path(p)),
+                path_from_json(path_to_json(p)),
+                dataclasses.replace(p),
+                dataclasses.replace(p, steps=p.steps[::-1]),
+                copy.copy(p),
+                copy.deepcopy(p),
+                pickle.loads(pickle.dumps(p)),
+            ]
+            if is_nondecreasing(p):
+                routes.append(compose(decompose(p)))
+            for q in routes:
+                assert q._prefix is None or q._prefix == q.steps[:-2]
+            assert routes[:4] + routes[5:] == [p] * (len(routes) - 1)
 
     def test_skipping_init_skips_no_check(self):
         # the walk builds its paths without __init__, so the one check
