@@ -124,31 +124,41 @@ def _down(size: int) -> Down:
     return Down(size)
 
 
+class _Walked:
+    # the walk's shared prefix, out of the dataclass fields that views of
+    # a path see: the steps but the last two, one object for the paths
+    # enumerate_deutsch finishes from them, which the judge and the stream
+    # writer tell by identity; None on any other path, taken whole
+    __slots__ = ("_prefix",)
+
+
 @dataclass(frozen=True, slots=True)
-class DeutschPath:
+class DeutschPath(_Walked):
     """Immutable step sequence, not necessarily validated."""
 
     steps: tuple[Step, ...] = ()
-    # the walk's shared prefix: set by enumerate_deutsch alone, to the
-    # object every path it finishes from one prefix shares, whose steps
-    # are this path's but its last two.  The judge and the stream writer
-    # tell a prefix they met by identity; a path without one (None) is
-    # judged and written whole.
-    _prefix: tuple[Step, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # a tuple, so that a path hashes and equals its twin; the steps
         # themselves go unchecked, a pass over every parsed or composed path
         _tuple_of(self.steps, "steps")
-
-    def __reduce__(self) -> tuple:
-        # copies and pickles are built through __init__, so they carry
-        # no prefix: it is the walk's, and a pickle would hold it twice
-        return DeutschPath, (self.steps,)
+        object.__setattr__(self, "_prefix", None)
 
     def sort_key(self) -> tuple[int, ...]:
         """Key realising the canonical order: U < D1 < D2 < ... is falling rise."""
         return tuple(-1 if s is UP else s.size for s in self.steps)
+
+
+def _set_state(path: DeutschPath, state: list) -> None:
+    # copies and pickles, of earlier versions too, hold the steps alone
+    # and carry no prefix; assigned below, as Python 3.10's dataclass
+    # replaces a __setstate__ written in the class body
+    (steps,) = state
+    object.__setattr__(path, "steps", steps)
+    object.__setattr__(path, "_prefix", None)
+
+
+DeutschPath.__setstate__ = _set_state
 
 
 _DOWN_TOKEN = re.compile(r"D([1-9][0-9]*)\Z")
@@ -572,7 +582,7 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
         # nothing: object.__new__ and the slot setters are C calls, and a
         # helper around them would cost as much as the __init__ it skips
         new, set_steps = object.__new__, DeutschPath.steps.__set__
-        set_prefix = DeutschPath._prefix.__set__
+        set_prefix = _Walked._prefix.__set__
         # the lexicographic successor of the first n - 3 steps, the stem,
         # in a loop: no frame per step to run out of.  A stem on or above
         # the ground takes each last step of its level, and the prefix

@@ -23,7 +23,8 @@ The registry behind :func:`gf_coefficients` collects the named closed
 forms used across the package, including the continued fraction shapes.
 Each is a rational function of small degree, so every route to the same
 counting sequence can be compared exactly as well as coefficient by
-coefficient.
+coefficient.  Each form is built once, from its own formula, at
+import, and :func:`named_form` hands out that one shared value.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .numbers import _DerivedOperators, _exact, _lifted, _size
 from .paths import _RECORD_ENCODER
@@ -368,47 +369,33 @@ def _product_terms(a: Sequence[int], b: Sequence[int], parity: int) -> list[int]
 _Z = RationalGF([0, 1], [1])
 # z**2 / (1 - z - z**2)
 _MOUNTAIN_GF = RationalGF([0, 0, 1], [1, -1, -1])
-# (1 - z - z**2) / ((1 + z)(1 - 2z))
-_BUNDLE_GF = RationalGF([1, -1, -1], [1, -1, -2])
 # z**2 (1 - z - z**2) / ((1 - z**2)(1 - 2z - z**2))
 _PRODUCT_GF = RationalGF([0, 0, 1, -1, -1], [1, -2, -2, 2, 1])
-# (1 - 2z) / (1 - 3z + z**2)
-_DYCK_GF = RationalGF([1, -2], [1, -3, 1])
+# z**2 over the three-layer staircase denominator
+_GAMMA = _Z * _Z / (1 - _Z / (1 - _Z / (1 - _Z * _Z)))
+_HANG = 1 / (1 - _MOUNTAIN_GF)
 
-
-def _gamma() -> RationalGF:
-    # z**2 over the three-layer staircase denominator
-    return _Z * _Z / (1 - _Z / (1 - _Z / (1 - _Z * _Z)))
-
-
-def _tree_form() -> RationalGF:
-    hang = 1 / (1 - _MOUNTAIN_GF)
-    spine = _Z * _Z / (1 - (_Z + _Z * _Z) * hang)
-    return 1 + spine * hang
-
-
-# Each form is built when asked for: all twelve together take about
-# 0.7 ms of integer polynomial arithmetic (Python 3.11, 2-vCPU host),
-# which at import every command, and perfbench's setup_s, would pay.
-_FORMS: dict[str, Callable[[], RationalGF]] = {
-    "mountain": lambda: _MOUNTAIN_GF,
-    "bundle": lambda: _BUNDLE_GF,
-    "product": lambda: _PRODUCT_GF,
-    "with-empty": lambda: 1 + _PRODUCT_GF,
-    "partial-fractions": lambda: (
+# Each form is built once, here, and shared: all twelve together take
+# about 1 ms of integer polynomial arithmetic (Python 3.11, 2-vCPU host).
+_FORMS: dict[str, RationalGF] = {
+    "mountain": _MOUNTAIN_GF,
+    # (1 - z - z**2) / ((1 + z)(1 - 2z))
+    "bundle": RationalGF([1, -1, -1], [1, -1, -2]),
+    "product": _PRODUCT_GF,
+    "with-empty": 1 + _PRODUCT_GF,
+    "partial-fractions": (
         Fraction(1, 4) / (1 - _Z)
         + Fraction(1, 4) / (1 + _Z)
         + Fraction(1, 2) * (1 - 2 * _Z) / (1 - 2 * _Z - _Z * _Z)
     ),
-    "continued-fraction": lambda: (
-        1 / (1 - _Z * _Z / (1 - _Z / (1 - _Z / (1 - _Z * _Z))))
-    ),
-    "gamma": _gamma,
-    "cf-closure": lambda: 1 / (1 - _gamma()),
-    "tree-form": _tree_form,
-    "dyck-nondecreasing": lambda: _DYCK_GF,
-    "square-first-tilings": lambda: 1 / (1 - _Z / (1 - _Z * _Z)),
-    "edge-or-path": lambda: _Z / (1 - _Z / (1 - _Z * _Z)),
+    "continued-fraction": 1 / (1 - _Z * _Z / (1 - _Z / (1 - _Z / (1 - _Z * _Z)))),
+    "gamma": _GAMMA,
+    "cf-closure": 1 / (1 - _GAMMA),
+    "tree-form": 1 + _Z * _Z / (1 - (_Z + _Z * _Z) * _HANG) * _HANG,
+    # (1 - 2z) / (1 - 3z + z**2)
+    "dyck-nondecreasing": RationalGF([1, -2], [1, -3, 1]),
+    "square-first-tilings": 1 / (1 - _Z / (1 - _Z * _Z)),
+    "edge-or-path": _Z / (1 - _Z / (1 - _Z * _Z)),
 }
 
 FORM_NAMES: tuple[str, ...] = tuple(_FORMS)
@@ -419,13 +406,15 @@ def named_form(form: str) -> RationalGF:
 
     The registry names every closed form the package works with; an
     unknown name raises :class:`UnknownFormError` listing the options.
+    Each form is built once, when the module is imported, and every call
+    returns that one value: forms are shared values, so a caller must
+    not assign to a form's ``numerator`` or ``denominator``.
     """
     try:
-        builder = _FORMS[form]
+        return _FORMS[form]
     except KeyError:
         known = ", ".join(FORM_NAMES)
         raise UnknownFormError(f"unknown form {form!r}; expected one of: {known}") from None
-    return builder()
 
 
 def gf_coefficients(form: str, order: int) -> tuple[Fraction, ...]:

@@ -544,9 +544,10 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [*range(11), 300])
     def test_walked_paths_are_ordinary_paths(self, n):
         # the walk builds its paths without __init__ and gives them their
-        # prefix, which no comparison, hash, repr or key sees: a twin
-        # carrying none, or another object, is the same path.  Every path
-        # up to length 10 (603 at most), the first 2,000 at length 300
+        # prefix, which no comparison, hash, repr, key or dataclass view
+        # sees: a twin carrying none, or another object, is the same path.
+        # Every path up to length 10 (603 at most), the first 2,000 at
+        # length 300
         for p in islice(enumerate_deutsch(n), 2000):
             built = DeutschPath(p.steps)
             other = finished(tuple(list(p.steps[:-2])), p.steps[-2:])
@@ -557,7 +558,13 @@ class TestEnumeration:
                 assert hash(p) == hash(twin)
                 assert repr(p) == repr(twin)
                 assert p.sort_key() == twin.sort_key()
+                assert dataclasses.asdict(p) == dataclasses.asdict(twin)
+                assert dataclasses.astuple(p) == dataclasses.astuple(twin)
+                assert dataclasses.fields(p) == dataclasses.fields(twin)
         assert DeutschPath.__match_args__ == ("steps",)
+        assert [f.name for f in dataclasses.fields(DeutschPath)] == ["steps"]
+        assert "__reduce__" not in vars(DeutschPath)
+        assert not hasattr(DeutschPath, "__getattr__")
 
     @pytest.mark.parametrize("n", [*range(11), 300])
     def test_walked_paths_carry_their_shared_prefix(self, n):
@@ -574,8 +581,7 @@ class TestEnumeration:
 
     def test_other_routes_carry_no_prefix_or_their_own(self):
         # each other way a path is built, copies and pickles of walked
-        # paths too, gives it no prefix, or one equal to its steps but
-        # the last two
+        # paths too, gives it no prefix: the prefix is the walk's alone
         walked = [p for n in range(3, 9) for p in enumerate_deutsch(n)]
         for p in walked:
             routes = [
@@ -591,8 +597,25 @@ class TestEnumeration:
             if is_nondecreasing(p):
                 routes.append(compose(decompose(p)))
             for q in routes:
-                assert q._prefix is None or q._prefix == q.steps[:-2]
+                assert q._prefix is None
             assert routes[:4] + routes[5:] == [p] * (len(routes) - 1)
+
+    def test_a_path_pickled_before_the_prefix_loads_and_works(self):
+        # pickle.dumps(parse_path("U U D2 U D1")) as written by an earlier
+        # version, whose dataclass state held the steps alone; the bytes
+        # are the same under Python 3.10 to 3.13
+        old = pickle.loads(
+            b"\x80\x04\x95n\x00\x00\x00\x00\x00\x00\x00\x8c\x12deutschpaths.paths\x94"
+            b"\x8c\x0bDeutschPath\x94\x93\x94)\x81\x94]\x94(h\x00\x8c\x02Up\x94\x93\x94)"
+            b"\x81\x94]\x94bh\x07h\x00\x8c\x04Down\x94\x93\x94)\x81\x94]\x94(K\x02\x8c\x02"
+            b"D2\x94ebh\x07h\n)\x81\x94]\x94(K\x01\x8c\x02D1\x94ebt\x94ab."
+        )
+        path = parse_path("U U D2 U D1")
+        assert old == path and old._prefix is None
+        assert is_nondecreasing(old) and validate(old) is old
+        assert decompose(old) == decompose(path)
+        assert list(paths._lines([old], paths._TEXT)) == ["U U D2 U D1"]
+        assert list(paths._lines([old], paths._JSON)) == [path_to_json(path)]
 
     def test_skipping_init_skips_no_check(self):
         # the walk builds its paths without __init__, so the one check

@@ -538,6 +538,11 @@ class TestNamedForms:
             "edge-or-path",
         )
 
+    @pytest.mark.parametrize("name", FORM_NAMES)
+    def test_each_form_is_one_shared_value(self, name):
+        # built once at import, not once per call
+        assert named_form(name) is named_form(name)
+
     def test_unknown_form(self):
         with pytest.raises(UnknownFormError):
             gf_coefficients("nope", 5)
