@@ -57,7 +57,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             # an integral coefficient as a JSON number, any other as its str
             series_value = s.numerator if s.denominator == 1 else str(s)
             record = {"n": n, "closed": c, "series": series_value, "brute": b, "agree": agree}
-            print(paths._RECORD_ENCODER.encode(record))
+            print(series._RECORD_ENCODER.encode(record))
     else:
         print("n\tclosed\tseries\tbrute\tagree")
         for n, c, s, b, agree in rows:
@@ -120,7 +120,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         records += [dataclasses.asdict(result) for result in results]
         for record in records:
             record["seconds"] = round(record["seconds"], 6)
-            print(paths._RECORD_ENCODER.encode(record))
+            print(series._RECORD_ENCODER.encode(record))
     else:
         results = verify.run_checks(args.max)
         for result in results:

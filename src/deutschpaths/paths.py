@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cache
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, groupby, pairwise, product
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -119,7 +119,10 @@ Step = Up | Down
 UP = object.__new__(Up)
 
 
-@cache
+# One step per size, shared by the walk and compose.  Bounded, as compose
+# decodes trees of any size: the walk's tables hold their own steps, so a
+# miss only builds a step again.
+@lru_cache(maxsize=4096)
 def _down(size: int) -> Down:
     return Down(size)
 
@@ -181,7 +184,7 @@ def _steps_of(tokens: list[str]) -> tuple[Step, ...]:
     # each distinct token is parsed once, in order of first appearance, so
     # the first bad token is the one named, and its step is shared by all
     # its copies; the table lives for the call, as a path's sizes are
-    # unbounded and `_down` would keep every one
+    # unbounded and would churn the bounded `_down` table for no reuse
     steps = {token: _parse_token(token) for token in dict.fromkeys(tokens)}
     return tuple(map(steps.__getitem__, tokens))
 
@@ -225,12 +228,6 @@ def _written(steps: tuple[Step, ...], form: tuple[str, str, str, str]) -> str:
 def render_path(path: DeutschPath) -> str:
     """Render a path as single-space separated tokens."""
     return _written(path.steps, _TEXT)
-
-
-# The encoder of the package's other record writers (series and the
-# table and verify reports): json.dumps with separators other than its
-# default builds a new JSONEncoder per call.
-_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def path_to_json(path: DeutschPath) -> str:
@@ -537,23 +534,24 @@ def compose(dec: Decomposition) -> DeutschPath:
     return validate(DeutschPath(tuple(steps)))
 
 
-def _endings(height: int, listed: list[tuple[Step, Step]]) -> Iterator[tuple[Step, Step]]:
+def _endings(height: int, endings_at: dict[int, list]) -> Iterator[tuple[Step, Step]]:
     # the two last steps home from a level, in canonical order: a rise
-    # and the fall home, then each fall that keeps above the ground; each
-    # goes into ``listed`` as it is yielded, for the level's later prefixes
-    listed.append((UP, _down(height + 1)))
-    yield listed[-1]
+    # and the fall home, then each fall that keeps above the ground.  The
+    # first next() files the level's list in ``endings_at``, and each
+    # ending goes into it as it is yielded, for the level's later prefixes
+    endings_at[height] = listed = [(UP, _down(height + 1))]
+    yield listed[0]
     for size in range(1, height):
         listed.append((_down(size), _down(height - size)))
         yield listed[-1]
 
 
-def _last_steps(height: int, listed: list[tuple[Step, int]]) -> Iterator[tuple[Step, int]]:
+def _last_steps(height: int, steps_at: dict[int, list]) -> Iterator[tuple[Step, int]]:
     # a prefix's last step from a level, in canonical order, with the
     # level it reaches: a rise, then each fall that lands on or above the
-    # ground; listed as `_endings` lists
-    listed.append((UP, height + 1))
-    yield listed[-1]
+    # ground; filed and listed as `_endings` files and lists
+    steps_at[height] = listed = [(UP, height + 1)]
+    yield listed[0]
     for size in range(1, height + 1):
         listed.append((_down(size), height - size))
         yield listed[-1]
@@ -588,9 +586,10 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
         # the ground takes each last step of its level, and the prefix
         # that makes finishes by the endings of its level.  Each level's
         # last steps and endings are listed once, as the first stem or
-        # prefix there yields them, and reused.  They live in this walk:
-        # a list shared across walks would be left half built by a walk
-        # abandoned inside it.
+        # prefix there yields them, by a table that files its list on its
+        # first step; a filed list is never empty, and is reused.  They live
+        # in this walk: a list shared across walks would be left half built
+        # by a walk abandoned inside it.
         last = n - 3
         steps_at: dict[int, list[tuple[Step, int]]] = {}  # by level, as are the endings
         endings_at: dict[int, list[tuple[Step, Step]]] = {}
@@ -602,19 +601,11 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
             if left:
                 steps += [UP] * left
                 height += left
-            choices = steps_at.get(height)
-            if choices is None:
-                steps_at[height] = listed = []
-                choices = _last_steps(height, listed)
-            for step, level in choices:
+            for step, level in steps_at.get(height) or _last_steps(height, steps_at):
                 steps.append(step)
                 prefix = tuple(steps)
                 steps.pop()
-                endings = endings_at.get(level)
-                if endings is None:
-                    endings_at[level] = listed = []
-                    endings = _endings(level, listed)
-                for ending in endings:
+                for ending in endings_at.get(level) or _endings(level, endings_at):
                     path = new(DeutschPath)
                     set_steps(path, prefix + ending)
                     set_prefix(path, prefix)

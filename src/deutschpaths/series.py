@@ -30,12 +30,12 @@ import, and :func:`named_form` hands out that one shared value.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .numbers import _DerivedOperators, _exact, _lifted, _size
-from .paths import _RECORD_ENCODER
 
 __all__ = [
     "ZeroConstantTermError",
@@ -442,6 +442,12 @@ def star_identity_holds(a: TruncatedSeries, b: TruncatedSeries, order: int) -> b
 def format_coefficients(values: Sequence[Fraction]) -> str:
     """Comma separated exact values, e.g. ``1, 0, 1, 1, 3``."""
     return ", ".join(str(v) for v in values)
+
+
+# The encoder of the package's record writers (this one and the table and
+# verify reports): json.dumps with separators other than its default
+# builds a new JSONEncoder per call.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def coefficients_to_json(form: str, values: Sequence[Fraction]) -> str:

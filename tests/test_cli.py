@@ -620,13 +620,13 @@ def test_closed_pipe_ends_the_process_quietly(length):
 def encoded(monkeypatch):
     """(record, text) for each record the package's shared JSON encoder writes."""
     seen = []
-    encode = paths._RECORD_ENCODER.encode
+    encode = series._RECORD_ENCODER.encode
 
     def spy(record):
         seen.append((record, encode(record)))
         return seen[-1][1]
 
-    monkeypatch.setattr(paths._RECORD_ENCODER, "encode", spy)
+    monkeypatch.setattr(series._RECORD_ENCODER, "encode", spy)
     return seen
 
 

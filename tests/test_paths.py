@@ -159,6 +159,15 @@ class TestParsing:
         assert parse_path("U D" + "9" * 60).steps[1] == Down(int("9" * 60))
         assert paths._down.cache_info().currsize == before
 
+    def test_the_down_cache_is_bounded(self):
+        # compose meets every size a decoded tree holds, so the shared
+        # steps are capped; a size evicted is only built again
+        bound = paths._down.cache_info().maxsize
+        assert bound == 4096
+        for size in range(10**6, 10**6 + bound + 100):
+            assert paths._down(size) == Down(size)
+        assert paths._down.cache_info().currsize == bound
+
     def test_down_size_must_be_positive(self):
         with pytest.raises(ValueError, match="^down-step size must be >= 1$"):
             Down(0)

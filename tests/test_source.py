@@ -40,6 +40,30 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def _package_imports(tree: ast.Module):
+    # the package modules a module imports from, relatively or by the
+    # package's name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["deutschpaths" * bool(node.level), node.module]))
+            targets = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for target in targets:
+            package, _, module = target.partition(".")
+            if package == "deutschpaths":
+                yield module.partition(".")[0]
+
+
+def test_series_stands_on_numbers_alone():
+    # the series types are an oracle of their own, beside the paths, and
+    # the package's shared record encoder lives with them
+    source = Path(deutschpaths.__file__).parent / "series.py"
+    assert set(_package_imports(ast.parse(source.read_text(), str(source)))) == {"numbers"}
+
+
 def _isinstance_classes(tree: ast.Module):
     # the class names each isinstance call tests, bare or module-qualified
     for node in ast.walk(tree):

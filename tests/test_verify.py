@@ -112,6 +112,20 @@ def false_on_call(count):
     return patch
 
 
+def unequal_to(value):
+    """Patch ``__eq__`` to answer False against ``value``, and rightly otherwise."""
+
+    def patch(original):
+        def fake(self, other):
+            if type(other) is type(value) and original(other, value):
+                return False
+            return original(self, other)
+
+        return fake
+
+    return patch
+
+
 def last_quotient_coefficient_off(original):
     """Patch ``TruncatedSeries.__truediv__`` to add 1 to the top coefficient."""
 
@@ -462,6 +476,18 @@ FAULTS = {
         wrong_on(verify.SEQUENCE_LIMIT, lambda p: p + 1),
         {
             "pell-binet": ("numbers: Pell recurrence matches Binet", "n=64"),
+        },
+    ),
+    # the ring's own algebra: the silver ratio times its conjugate is -1
+    "pell-binet.silver-ratio": (
+        numbers.QuadraticNumber,
+        "__eq__",
+        unequal_to(numbers.QuadraticNumber(-1)),
+        {
+            "pell-binet": (
+                "numbers: Pell sequences match their Binet forms (n <= 64), silver ratio algebra holds",
+                "",
+            ),
         },
     ),
     "mountain-binomials.top": (
