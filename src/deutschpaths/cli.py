@@ -46,7 +46,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     top = numbers._size(args.max, "--max")
     cap = numbers._size(args.brute_cap, "--brute-cap")
     closed = [numbers.count_nondecreasing_closed(n) for n in range(top + 1)]
-    by_series = series.gf_coefficients("with-empty", top)
+    by_series = series.named_form("with-empty")._values(top)
     rows = []
     for n in range(top + 1):
         brute = sum(1 for _ in paths.enumerate_nondecreasing_filter(n)) if n <= cap else None
@@ -55,7 +55,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.json:
         for n, c, s, b, agree in rows:
             # an integral coefficient as a JSON number, any other as its str
-            series_value = s.numerator if s.denominator == 1 else str(s)
+            series_value = s if type(s) is int else str(s)
             record = {"n": n, "closed": c, "series": series_value, "brute": b, "agree": agree}
             print(series._RECORD_ENCODER.encode(record))
     else:
@@ -86,7 +86,8 @@ def _cmd_path(args: argparse.Namespace) -> int:
 
 
 def _cmd_gf(args: argparse.Namespace) -> int:
-    coeffs = series.gf_coefficients(args.form, numbers._size(args.terms, "--terms"))
+    order = numbers._size(args.terms, "--terms")
+    coeffs = series.named_form(args.form)._values(order)
     if args.json:
         print(series.coefficients_to_json(args.form, coeffs))
     else:

@@ -1,10 +1,10 @@
 """Exact formal power series and rational generating functions.
 
-No floating point is involved anywhere, and every coefficient handed
-out is a :class:`fractions.Fraction`.  Both types take their
-coefficients as ``int`` or ``Fraction`` only and refuse any other
-scalar, a float, a string or a ``Decimal``, with a ``ValueError`` that
-names it; an order is exactly an ``int`` >= 0, by the package's one
+No floating point is involved anywhere, and every coefficient the
+public API hands out is a :class:`fractions.Fraction`.  Both types
+take their coefficients as ``int`` or ``Fraction`` only and refuse any
+other scalar, a float, a string or a ``Decimal``, with a ``ValueError``
+that names it; an order is exactly an ``int`` >= 0, by the package's one
 size rule, ``numbers._size``.  A :class:`TruncatedSeries` holds
 coefficients 0 through its order as ``int`` numerators over one common
 ``int`` denominator, computes on those integers, and builds a
@@ -12,12 +12,16 @@ coefficients 0 through its order as ``int`` numerators over one common
 truncate to the smaller order of the two operands, and division
 requires an invertible (nonzero) constant term.  A
 :class:`RationalGF` is an exact quotient of polynomials with the same
-operators.  It scales numerator and denominator to ``int``
-coefficients once, when built, and computes on those integers: the
-linear recurrence read off the denominator gives all coefficients
-through an order in O(order * degree) integer steps, and Bostan-Mori
-gives a single coefficient in O(log n) polynomial products.  Only the
-results become ``Fraction``.
+operators.  It scales numerator and denominator once, when built, to
+``int`` coefficients with no common factor and a positive constant
+term, and computes on those integers: the linear recurrence read off
+the denominator gives all coefficients through an order in
+O(order * degree) integer steps, and Bostan-Mori gives a single
+coefficient in O(log n) polynomial products.  Only the results of the
+public extractions become ``Fraction``.  Every named form's denominator
+starts with 1, so its recurrence yields the coefficients themselves as
+``int``; the CLI prints those, and ``str`` of an ``int`` is the bytes of
+``str`` of the equal ``Fraction``.
 
 The registry behind :func:`gf_coefficients` collects the named closed
 forms used across the package, including the continued fraction shapes.
@@ -35,7 +39,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .numbers import _DerivedOperators, _exact, _lifted, _size
+from .numbers import _DerivedOperators, _exact, _lifted, _quotient, _size
 
 __all__ = [
     "ZeroConstantTermError",
@@ -205,10 +209,13 @@ class RationalGF(_DerivedOperators):
 
     Built from two sequences of ``int`` or ``Fraction`` coefficients,
     lowest order first, scaled once by the lcm of all their
-    denominators and held, trailing zeros trimmed, as the ``int``
-    tuples :attr:`numerator` and :attr:`denominator`.  The operators
-    and both extractions compute on these integers (Knuth, TAOCP vol.
-    2, 4.7); only extracted coefficients become ``Fraction``.
+    denominators, divided by the gcd of all the results and signed so
+    that the constant term of the denominator is positive.  They are
+    held, trailing zeros trimmed, as the ``int`` tuples
+    :attr:`numerator` and :attr:`denominator`: primitive, but not
+    reduced to lowest terms.  The operators and both extractions
+    compute on these integers (Knuth, TAOCP vol. 2, 4.7); only
+    extracted coefficients become ``Fraction``.
 
     Supports +, -, * and / with other rational functions and with int or
     Fraction scalars, so the named forms are written as the formulas
@@ -231,12 +238,18 @@ class RationalGF(_DerivedOperators):
         scale = math.lcm(
             *(1 if type(c) is int else _exact(c, "coefficient").denominator for c in coeffs)
         )
-        self.numerator, self.denominator = (
-            _trimmed([c.numerator * (scale // c.denominator) for c in cs])
-            for cs in (numerator, denominator)
+        numerator, denominator = (
+            [c.numerator * (scale // c.denominator) for c in cs] for cs in (numerator, denominator)
         )
-        if not self.denominator or not self.denominator[0]:
+        if not denominator or not denominator[0]:
             raise ZeroConstantTermError("denominator must not vanish at z = 0")
+        # primitive, with a positive constant term: a named form's q[0] is 1
+        content = math.gcd(*numerator, *denominator)
+        if denominator[0] < 0:
+            content = -content
+        self.numerator, self.denominator = (
+            _trimmed([c // content for c in cs]) for cs in (numerator, denominator)
+        )
 
     def __repr__(self) -> str:
         return f"RationalGF({list(self.numerator)!r}, {list(self.denominator)!r})"
@@ -286,18 +299,21 @@ class RationalGF(_DerivedOperators):
         )
 
     def coefficients(self, order: int) -> tuple[Fraction, ...]:
-        """Coefficients 0..order, by the recurrence on integers.
+        """Coefficients 0..order, by the recurrence on integers."""
+        return tuple(map(Fraction, self._values(_size(order, "order"))))
+
+    def _values(self, order: int) -> list[Coeff]:
+        """Coefficients 0..order, each an ``int`` when integral, else a ``Fraction``.
 
         With g[n] = c[n] * q[0]**(n+1) the recurrence needs no division:
         g[n] = q[0]**n * p[n] - sum(q[i] * g[n-i] * q[0]**(i-1), i >= 1).
+        Every named form has q[0] = 1, so g is the coefficients themselves.
         """
-        _size(order, "order")
         p, q = self.numerator, self.denominator
         q0 = q[0]
         # q[i] * q0**(i-1) for the terms that are not zero
         weights = [(i, q[i] * q0 ** (i - 1)) for i in range(1, len(q)) if q[i]]
         g: list[int] = []
-        out: list[Fraction] = []
         q0_power = 1  # q0**n
         for n in range(order + 1):
             acc = q0_power * p[n] if n < len(p) else 0
@@ -307,8 +323,9 @@ class RationalGF(_DerivedOperators):
                 acc -= weight * g[n - i]
             g.append(acc)
             q0_power *= q0
-            out.append(Fraction(acc, q0_power))
-        return tuple(out)
+        if q0 == 1:
+            return g
+        return [_quotient(acc, q0 ** (n + 1)) for n, acc in enumerate(g)]
 
     def coefficient(self, n: int) -> Fraction:
         """Coefficient n alone, by Bostan-Mori in O(log n) products.

@@ -195,26 +195,26 @@ def test_table_json():
 def half_at_three(monkeypatch):
     """1/2 in place of the with-empty count at n = 3.
 
-    Both ways to the series count carry it: ``gf_coefficients``, which
+    Both ways to the series count carry it: ``RationalGF._values``, which
     ``table`` reads, and ``RationalGF.coefficient``, which ``count``
     reads.
     """
-    original = series.gf_coefficients
+    original_values = series.RationalGF._values
     original_coefficient = series.RationalGF.coefficient
     with_empty = series.named_form("with-empty")
 
-    def fake(form, order):
-        coeffs = list(original(form, order))
-        if form == "with-empty" and order >= 3:
-            coeffs[3] = Fraction(1, 2)
-        return coeffs
+    def fake_values(gf, order):
+        values = list(original_values(gf, order))
+        if order >= 3 and gf == with_empty:
+            values[3] = Fraction(1, 2)
+        return values
 
     def fake_coefficient(gf, n):
         if n == 3 and gf == with_empty:
             return Fraction(1, 2)
         return original_coefficient(gf, n)
 
-    monkeypatch.setattr(series, "gf_coefficients", fake)
+    monkeypatch.setattr(series.RationalGF, "_values", fake_values)
     monkeypatch.setattr(series.RationalGF, "coefficient", fake_coefficient)
 
 
@@ -340,6 +340,18 @@ def test_gf_fractional_coefficients():
     result = run_cli("gf", "--form", "gamma", "--terms", "6")
     assert result.returncode == 0
     assert result.stdout == "0, 0, 1, 1, 2, 4, 9\n"
+
+
+@pytest.mark.parametrize("form", series.FORM_NAMES)
+def test_gf_prints_the_bytes_of_the_fraction_route(capsys, form):
+    # gf prints the recurrence's ints; the API hands out Fractions
+    for order in (0, 1, 2, 64, 400):
+        coefficients = series.gf_coefficients(form, order)
+        terms = ("gf", "--form", form, "--terms", str(order))
+        text = series.format_coefficients(coefficients)
+        assert stdout_of(capsys, *terms) == f"{text}\n"
+        record = series.coefficients_to_json(form, coefficients)
+        assert stdout_of(capsys, *terms, "--json") == f"{record}\n"
 
 
 def test_mountains():

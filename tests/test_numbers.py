@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 from fractions import Fraction
 
 import pytest
@@ -261,6 +262,12 @@ class TestClosedCounts:
         with pytest.raises(NonIntegerResultError, match="n=9 is not divisible by 4"):
             count_nondecreasing_quadratic(9)
 
+    def test_a_negative_ring_count_raises(self, monkeypatch):
+        # four times the sum reads -4: divisible by 4, and below zero
+        monkeypatch.setattr(QuadraticNumber, "as_integer", lambda self: -4)
+        with pytest.raises(NonIntegerResultError, match="^count for n=5 came out negative$"):
+            count_nondecreasing_quadratic(5)
+
 
 class TestMountainCounts:
     def test_small_values(self):
@@ -275,6 +282,16 @@ class TestMountainCounts:
     @pytest.mark.parametrize("k", range(2, 64))
     def test_fibonacci_law(self, k):
         assert count_mountains(k) == fibonacci(k - 1)
+
+    def test_a_short_binomial_sum_raises(self, monkeypatch):
+        # the sum along the diagonal, the one whose range starts at 1,
+        # stops a term early: 1 + 3 against 1 + 3 + 1 at k = 6
+        def shortened(start, stop):
+            return builtins.range(start, stop - (start == 1))
+
+        monkeypatch.setattr(numbers, "range", shortened, raising=False)
+        with pytest.raises(NonIntegerResultError, match="^binomial sums disagree at k=6$"):
+            count_mountains(6)
 
 
 class TestTilings:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
 import operator
 import re
 from decimal import Decimal
@@ -291,6 +293,41 @@ class TestRationalGF:
         expansion = gf.coefficients(70)
         assert [gf.coefficient(n) for n in range(71)] == list(expansion)
 
+    @settings(max_examples=200, deadline=None)
+    @given(rational_terms, st.sampled_from([1, -1, 6, Fraction(-2, 3)]))
+    def test_stored_primitive_with_a_positive_constant_term(self, terms, factor):
+        gf = RationalGF(*terms)
+        assert math.gcd(*gf.numerator, *gf.denominator) == 1
+        assert gf.denominator[0] > 0
+        num, den = terms
+        scaled = RationalGF([factor * c for c in num], [factor * c for c in den])
+        assert (scaled.numerator, scaled.denominator) == (gf.numerator, gf.denominator)
+
+    def test_a_common_factor_is_divided_out(self):
+        gf = RationalGF([2, 4], [6, 2])
+        assert (gf.numerator, gf.denominator) == ((1, 2), (3, 1))
+        assert gf == RationalGF([1, 2], [3, 1])
+
+    @pytest.mark.parametrize(
+        "gf",
+        [
+            RationalGF([1], [2, -1]),
+            RationalGF([Fraction(1, 3)], [3, -1]),
+            RationalGF([2, -1], [-2, 1, 1]),
+            RationalGF([2, 1], [2, 1]),
+        ],
+        ids=["one-over-2-minus-z", "fractional", "negative-constant-term", "one-over-q0-2"],
+    )
+    def test_values_are_ints_exactly_where_integral(self, gf):
+        # the reader the CLI prints from, where the recurrence must divide
+        assert gf.denominator[0] != 1
+        coefficients = gf.coefficients(40)
+        values = gf._values(40)
+        assert values == list(coefficients)
+        assert [type(v) for v in values] == [
+            int if c.denominator == 1 else Fraction for c in coefficients
+        ]
+
     def test_operators_coerce_scalars(self):
         z = RationalGF([0, 1], [1])
         assert (1 / (1 - z - z * z)).coefficients(5) == (1, 1, 2, 3, 5, 8)
@@ -521,6 +558,24 @@ TRUNCATED_FORMS = {
 }
 
 
+# sha256 of format_coefficients over coefficients 0..400 of each form,
+# pinned from the registry before its forms were stored primitive
+FORM_DIGESTS = {
+    "mountain": "16b43acdf18f70b5",
+    "bundle": "cb14e26b6e609d89",
+    "product": "104977385e78ba92",
+    "with-empty": "a2030bedcc390317",
+    "partial-fractions": "a2030bedcc390317",
+    "continued-fraction": "a2030bedcc390317",
+    "gamma": "49392f21b33b7233",
+    "cf-closure": "a2030bedcc390317",
+    "tree-form": "a2030bedcc390317",
+    "dyck-nondecreasing": "f1b88536d744836e",
+    "square-first-tilings": "e996b71f577d0732",
+    "edge-or-path": "1fc25a44938de656",
+}
+
+
 class TestNamedForms:
     def test_registry_is_complete(self):
         assert FORM_NAMES == (
@@ -542,6 +597,15 @@ class TestNamedForms:
     def test_each_form_is_one_shared_value(self, name):
         # built once at import, not once per call
         assert named_form(name) is named_form(name)
+
+    @pytest.mark.parametrize("name", FORM_NAMES)
+    def test_each_form_is_stored_primitive(self, name):
+        # so its recurrence runs on the coefficients themselves, as ints
+        form = named_form(name)
+        assert form.denominator[0] == 1
+        assert all(type(v) is int for v in form._values(400))
+        text = format_coefficients(gf_coefficients(name, 400))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == FORM_DIGESTS[name]
 
     def test_unknown_form(self):
         with pytest.raises(UnknownFormError):
@@ -592,7 +656,6 @@ class TestNamedForms:
         expansion = form.coefficients(4097)
         assert [form.coefficient(n) for n in range(301)] == list(expansion[:301])
         # where the halvings of n end on each side of the last one
-        # (partial-fractions has q0 = 32, so its q0**2 is not 1)
         for n in {2**k + step for k in range(13) for step in (-1, 0, 1)}:
             assert form.coefficient(n) == expansion[n], n
 
