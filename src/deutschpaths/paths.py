@@ -128,11 +128,11 @@ def _down(size: int) -> Down:
 
 
 class _Walked:
-    # the walk's shared prefix, out of the dataclass fields that views of
-    # a path see: the steps but the last two, one object for the paths
-    # enumerate_deutsch finishes from them, which the judge and the stream
+    # the walk's shared list, out of the dataclass fields that views of a
+    # path see: one list for the paths enumerate_deutsch finishes from one
+    # prefix, their steps but the last two, which the judge and the stream
     # writer tell by identity; None on any other path, taken whole
-    __slots__ = ("_prefix",)
+    __slots__ = ("_shared",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +145,7 @@ class DeutschPath(_Walked):
         # a tuple, so that a path hashes and equals its twin; the steps
         # themselves go unchecked, a pass over every parsed or composed path
         _tuple_of(self.steps, "steps")
-        object.__setattr__(self, "_prefix", None)
+        object.__setattr__(self, "_shared", None)
 
     def sort_key(self) -> tuple[int, ...]:
         """Key realising the canonical order: U < D1 < D2 < ... is falling rise."""
@@ -154,11 +154,11 @@ class DeutschPath(_Walked):
 
 def _set_state(path: DeutschPath, state: list) -> None:
     # copies and pickles, of earlier versions too, hold the steps alone
-    # and carry no prefix; assigned below, as Python 3.10's dataclass
+    # and carry no list; assigned below, as Python 3.10's dataclass
     # replaces a __setstate__ written in the class body
     (steps,) = state
     object.__setattr__(path, "steps", steps)
-    object.__setattr__(path, "_prefix", None)
+    object.__setattr__(path, "_shared", None)
 
 
 DeutschPath.__setstate__ = _set_state
@@ -238,24 +238,25 @@ def path_to_json(path: DeutschPath) -> str:
 
 def _lines(stream: Iterable[DeutschPath], form: tuple[str, str, str, str]) -> Iterator[str]:
     # each path written as `_written` writes it, lazily.  A walked path
-    # carries its shared prefix: the text of that prefix is kept while
-    # the next paths carry the same object, as a walk's successive paths
-    # do, and only their last two steps are written.  The kept prefix is
-    # held, so no other object can take its identity.  A path without a
-    # prefix is written whole, so any stream is written right; only the
-    # speed depends on where it came from.
+    # carries its prefix's shared list: the text of its steps but the last
+    # two is kept while the next paths carry the same list, as a walk's
+    # successive paths do, and only their last two steps are written.  The
+    # kept list is held, so no other object can take its identity.  A path
+    # without a list is written whole, so any stream is written right; only
+    # the speed depends on where it came from.
     opening, separator, closing, _ = form
     head_form = (opening, separator, separator, opening)  # ends in a separator
-    kept: tuple[Step, ...] | None = None
+    kept: list | None = None
     for path in stream:
-        prefix = path._prefix
-        if prefix is None:
-            yield _written(path.steps, form)
+        shared = path._shared
+        steps = path.steps
+        if shared is None:
+            yield _written(steps, form)
             continue
-        if prefix is not kept:
-            kept = prefix
-            head = _written(prefix, head_form)
-        a, b = path.steps[-2:]
+        if shared is not kept:
+            kept = shared
+            head = _written(steps[:-2], head_form)
+        a, b = steps[-2:]
         a_token, b_token = "U" if a is UP else a.token, "U" if b is UP else b.token
         yield f"{head}{a_token}{separator}{b_token}{closing}"  # one copy of the head
 
@@ -319,17 +320,6 @@ def valley_levels(path: DeutschPath) -> tuple[int, ...]:
     )
 
 
-# The last walked prefix judged, and the walk's state after it:
-# (prefix, height, fell, level, rising).  One tuple, replaced whole and
-# never mutated, so a judge in another thread reads one entry or the
-# other, which changes only the speed.  The entry holds its prefix, so
-# no other object can take its identity while it is remembered.  A
-# prefix whose walk breaks off is not stored; one that ends below the
-# ground may be, and every path resumed from it falls below the ground
-# too.
-_walked: tuple = ((), 0, False, 0, True)
-
-
 def is_nondecreasing(path: DeutschPath) -> bool:
     """True when the valley levels weakly increase left to right.
 
@@ -339,34 +329,29 @@ def is_nondecreasing(path: DeutschPath) -> bool:
     ground-rule walk, so :func:`validate`, :func:`valley_levels` and
     :func:`as_mountain` raise what it raises.
 
-    One prefix is remembered, with the walk's state after it: the
-    shared prefix of the last path of :func:`enumerate_deutsch` judged,
-    its steps but the last two.  A path that carries that very object,
-    as the walk's successive paths do, resumes from the state and walks
-    only its last two steps; one that carries another prefix walks it
-    once and remembers it.  Identity alone is tested, whatever the
-    length, and any other path is walked whole.  The verdict and every
-    error are those of a walk over all the steps, whatever was judged
-    before, in this thread or another: the entry is one tuple, replaced
-    whole.
+    A path of :func:`enumerate_deutsch` carries the list it shares with
+    the other paths finished from its prefix, its steps but the last
+    two.  The first of them judged walks that prefix and fills the list
+    with the walk's state after it; each path whose list is filled
+    resumes from that state and walks only its last two steps.  Any
+    other path is walked whole.  The verdict and every error are those
+    of a walk over all the steps, whatever was judged before.
     """
-    global _walked
     steps = path.steps
-    head = path._prefix
+    shared = path._shared
     # the walk's state: the height, whether the step before was a
     # down-step, the last valley's level (none lies below the ground)
-    # and the verdict so far; the entry is read once, as another thread
-    # may replace it.  `steps` is the part left to walk: the tail alone
-    # when the head is the one remembered, else a walked path's head,
-    # then its tail, or a path without a head whole.  `head` is kept
-    # while it is to be stored.
-    remembered, height, fell, level, rising = _walked
-    if remembered is head:
-        steps, head = steps[-2:], None
+    # and the verdict so far.  `steps` is the part left to walk: the
+    # tail alone when the list is filled, else a walked path's prefix,
+    # then its tail, or a path without a list whole.  `shared` is kept
+    # while it is to be filled.
+    if shared:
+        height, fell, level, rising = shared
+        steps, shared = steps[-2:], None
     else:
         height, fell, level, rising = 0, False, 0, True
-        if head is not None:
-            steps = head
+        if shared is not None:
+            steps = steps[:-2]
     # A fall below the ground is met where its down-run ends: at the
     # valley it makes, which then lies below the last one (`level` never
     # does), or at the end of the walk.  So down-steps test nothing, and
@@ -386,9 +371,11 @@ def is_nondecreasing(path: DeutschPath) -> bool:
                 height -= step.size
                 fell = True
         else:
-            if head is not None:
-                _walked = (head, height, fell, level, rising)
-                steps, head = path.steps[-2:], None
+            if shared is not None:
+                # one slice store, so a judge in another thread finds the
+                # list empty or filled; one that fills it too stores the same
+                shared[:] = height, fell, level, rising
+                steps, shared = path.steps[-2:], None
                 continue
             if height == 0:
                 return rising
@@ -565,13 +552,15 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
     only its current steps and the last steps and two-step endings of
     the levels it has met.
 
-    Each path of three steps or more carries its prefix, its steps but
-    the last two, as one object shared with the other paths that
-    finish it, so that :func:`is_nondecreasing` and the stream writer
-    behind ``list`` meet each prefix once.  A path kept therefore keeps
-    its prefix alive: a list of the 97,513 non-decreasing paths of
-    length 16 holds 26.0 MiB, where paths without their prefixes would
-    hold 20.1 MiB (tracemalloc, Python 3.11).
+    Each path of three steps or more carries one list shared with the
+    other paths finished from its prefix, its steps but the last two,
+    so that :func:`is_nondecreasing` and the stream writer behind
+    ``list`` meet each prefix once.  The list holds only what a path
+    cannot derive from its steps, the judge's state after the prefix,
+    so a path kept keeps one small list alive, not its prefix: a list
+    of the 97,513 non-decreasing paths of length 16 holds 24.9 MiB,
+    and 20.9 MiB once their lists are dropped (tracemalloc, Python
+    3.11).
     """
     _size(n, "n")
 
@@ -580,7 +569,7 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
         # nothing: object.__new__ and the slot setters are C calls, and a
         # helper around them would cost as much as the __init__ it skips
         new, set_steps = object.__new__, DeutschPath.steps.__set__
-        set_prefix = _Walked._prefix.__set__
+        set_shared = _Walked._shared.__set__
         # the lexicographic successor of the first n - 3 steps, the stem,
         # in a loop: no frame per step to run out of.  A stem on or above
         # the ground takes each last step of its level, and the prefix
@@ -605,10 +594,13 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
                 steps.append(step)
                 prefix = tuple(steps)
                 steps.pop()
+                # made empty, filled once by the first judge of its paths,
+                # never emptied, and never shared with another prefix
+                shared = []
                 for ending in endings_at.get(level) or _endings(level, endings_at):
                     path = new(DeutschPath)
                     set_steps(path, prefix + ending)
-                    set_prefix(path, prefix)
+                    set_shared(path, shared)
                     yield path
             # the last step that can fall one level further and still
             # land on or above the ground
@@ -631,7 +623,7 @@ def enumerate_deutsch(n: int) -> Iterator[DeutschPath]:
 
     # the empty path is the one of length 0, no single step can leave
     # the ground and come back to it, and two steps do so one way; these
-    # carry no prefix
+    # carry no list
     if n < 3:
         return iter(((DeutschPath(),), (), (DeutschPath((UP, _down(1))),))[n])
     return walk()
@@ -644,11 +636,10 @@ def enumerate_nondecreasing_filter(n: int) -> Iterator[DeutschPath]:
     Every candidate of :func:`enumerate_deutsch` goes to
     :func:`is_nondecreasing` once, and each verdict covers every step,
     which is what makes this the reference oracle.  Each candidate
-    carries the prefix it shares with the others the walk finishes from
-    it, its steps but the last two, and the judge resumes a candidate
-    whose prefix is the very object it remembers, at any length: it
-    walks each prefix once and two steps of each candidate.  That entry
-    is one tuple, replaced whole, so threads may judge at once."""
+    carries the list it shares with the others the walk finishes from
+    its prefix, its steps but the last two, and the judge keeps its
+    state after the prefix there: it walks each prefix once and two
+    steps of each candidate, however many walks are read at once."""
     return filter(is_nondecreasing, enumerate_deutsch(n))
 
 

@@ -456,7 +456,7 @@ def star_identity_holds(a: TruncatedSeries, b: TruncatedSeries, order: int) -> b
     return lhs == rhs
 
 
-def format_coefficients(values: Sequence[Fraction]) -> str:
+def format_coefficients(values: Sequence[Coeff]) -> str:
     """Comma separated exact values, e.g. ``1, 0, 1, 1, 3``."""
     return ", ".join(str(v) for v in values)
 
@@ -467,7 +467,7 @@ def format_coefficients(values: Sequence[Fraction]) -> str:
 _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def coefficients_to_json(form: str, values: Sequence[Fraction]) -> str:
+def coefficients_to_json(form: str, values: Sequence[Coeff]) -> str:
     """JSON record ``{"form": ..., "coeffs": ["1", "0", ...]}``."""
     record = {"form": form, "coeffs": [str(v) for v in values]}
     return _RECORD_ENCODER.encode(record)

@@ -569,9 +569,9 @@ def test_list_judges_every_candidate(judged, capsys):
 
 
 @pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
-def test_list_judges_every_candidate_past_the_threshold(judged, monkeypatch, flag):
-    # paths of 60 steps resume from the prefix the walk shares, yet each
-    # candidate the walk yields is still handed to the judge once
+def test_list_judges_every_candidate_at_length_60(judged, monkeypatch, flag):
+    # paths of 60 steps resume from the list their prefix shares, yet
+    # each candidate the walk yields is still handed to the judge once
     pulled = []
     walk = paths.enumerate_deutsch
 

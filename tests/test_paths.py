@@ -254,15 +254,15 @@ PICKS = st.lists(st.lists(TOKEN, max_size=5), min_size=1, max_size=3).flatmap(
 )
 
 
-def _shared(picks):
+def _walked_like(picks):
     # the picks built as the walk builds its paths: each prefix parsed
-    # once, so one object, and carried by every pick of two tokens more;
-    # the other picks carry none
+    # once, so one object, with one list carried by every pick of two
+    # tokens more; the other picks carry none
     heads = {}
     for prefix, more in picks:
-        head = heads.setdefault(tuple(prefix), parse_path(" ".join(prefix)).steps)
+        head, shared = heads.setdefault(tuple(prefix), (parse_path(" ".join(prefix)).steps, []))
         tail = parse_path(" ".join(more)).steps
-        yield finished(head, tail) if len(tail) == 2 else DeutschPath(head + tail)
+        yield finished(head, tail, shared) if len(tail) == 2 else DeutschPath(head + tail)
 
 
 class TestStreamWriter:
@@ -284,12 +284,12 @@ class TestStreamWriter:
     @example([(["U", "U"], ["U", "D3"]), (["U", "D1"], ["U", "D1"]), ([], ["U", "D1"])])
     def test_any_stream_is_written_as_path_by_path(self, picks):
         # parse_path builds its steps per call, so equal prefixes share
-        # no Down objects and no path carries a prefix, and up to two
-        # steps more give lengths 0, 1, 2; then the same picks with their
-        # prefixes shared as the walk shares them, alone and taking turns
-        # with the parsed paths
+        # no Down objects and no path carries a list, and up to two steps
+        # more give lengths 0, 1, 2; then the same picks with their
+        # prefixes' lists shared as the walk shares them, alone and taking
+        # turns with the parsed paths
         parsed = [parse_path(" ".join(prefix + more)) for prefix, more in picks]
-        shared = list(_shared(picks))
+        shared = list(_walked_like(picks))
         assert shared == parsed
         for stream in (parsed, shared, [p for pair in zip(parsed, shared) for p in pair]):
             for form, write in WRITERS:
@@ -553,8 +553,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [*range(11), 300])
     def test_walked_paths_are_ordinary_paths(self, n):
         # the walk builds its paths without __init__ and gives them their
-        # prefix, which no comparison, hash, repr, key or dataclass view
-        # sees: a twin carrying none, or another object, is the same path.
+        # prefix's list, which no comparison, hash, repr, key or dataclass
+        # view sees: a twin carrying none, or another list, is the same path.
         # Every path up to length 10 (603 at most), the first 2,000 at
         # length 300
         for p in islice(enumerate_deutsch(n), 2000):
@@ -577,20 +577,22 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", [*range(11), 300])
     def test_walked_paths_carry_their_shared_prefix(self, n):
-        # every path of three steps or more carries its steps but the
-        # last two, one object for all the paths that share them; the
+        # every path of three steps or more carries a list, empty until a
+        # judge fills it, one object for all the paths that share their
+        # steps but the last two and another for each other prefix; the
         # shorter paths are built whole and carry none
-        objects = {}
+        lists = {}
         for p in islice(enumerate_deutsch(n), 2000):
             if n < 3:
-                assert p._prefix is None
+                assert p._shared is None
             else:
-                assert p._prefix == p.steps[:-2]
-                assert objects.setdefault(p._prefix, p._prefix) is p._prefix
+                assert p._shared == []
+                assert lists.setdefault(p.steps[:-2], p._shared) is p._shared
+        assert len(set(map(id, lists.values()))) == len(lists)
 
     def test_other_routes_carry_no_prefix_or_their_own(self):
         # each other way a path is built, copies and pickles of walked
-        # paths too, gives it no prefix: the prefix is the walk's alone
+        # paths too, gives it no list: the list is the walk's alone
         walked = [p for n in range(3, 9) for p in enumerate_deutsch(n)]
         for p in walked:
             routes = [
@@ -606,7 +608,7 @@ class TestEnumeration:
             if is_nondecreasing(p):
                 routes.append(compose(decompose(p)))
             for q in routes:
-                assert q._prefix is None
+                assert q._shared is None
             assert routes[:4] + routes[5:] == [p] * (len(routes) - 1)
 
     def test_a_path_pickled_before_the_prefix_loads_and_works(self):
@@ -620,7 +622,7 @@ class TestEnumeration:
             b"D2\x94ebh\x07h\n)\x81\x94]\x94(K\x01\x8c\x02D1\x94ebt\x94ab."
         )
         path = parse_path("U U D2 U D1")
-        assert old == path and old._prefix is None
+        assert old == path and old._shared is None
         assert is_nondecreasing(old) and validate(old) is old
         assert decompose(old) == decompose(path)
         assert list(paths._lines([old], paths._TEXT)) == ["U U D2 U D1"]

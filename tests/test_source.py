@@ -22,6 +22,18 @@ def test_the_package_keeps_no_assert():
     assert found == []
 
 
+def test_the_package_keeps_no_global_statement():
+    # state a function rebinds at module level is shared by every caller
+    # and thread; what a call needs to keep travels with its arguments
+    found = [
+        f"{source.name}:{node.lineno}"
+        for source in SOURCES
+        for node in ast.walk(ast.parse(source.read_text(), str(source)))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
+
+
 def _imported_names(tree: ast.Module):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
