@@ -20,8 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, groupby, pairwise, product
-from operator import attrgetter
+from itertools import combinations, combinations_with_replacement, pairwise, product
 from typing import Iterable, Iterator
 
 from .numbers import _size
@@ -471,7 +470,24 @@ class Decomposition:
         return len(self.bundles)
 
 
-_step_size = attrgetter("size")
+# The records the package builds from parts it has just built or checked
+# skip their constructors' checks, which the public constructors keep:
+# object.__new__ and the slot setters are C calls, as in the walk.
+def _mountain(descent: tuple[int, ...]) -> Mountain:
+    # descent: a nonempty tuple of ints >= 1
+    mountain = object.__new__(Mountain)
+    Mountain.descent.__set__(mountain, descent)
+    return mountain
+
+
+def _decomposition(
+    bundles: tuple[tuple[Mountain, ...], ...], homerun: tuple[int, ...]
+) -> Decomposition:
+    # bundles: tuples of mountains, as many as the home run's total
+    dec = object.__new__(Decomposition)
+    Decomposition.bundles.__set__(dec, bundles)
+    Decomposition.homerun.__set__(dec, homerun)
+    return dec
 
 
 def decompose(path: DeutschPath) -> Decomposition:
@@ -486,23 +502,31 @@ def decompose(path: DeutschPath) -> Decomposition:
     >>> decompose(parse_path("U U D2 U D1"))
     Decomposition(bundles=((Mountain(descent=(2,)),),), homerun=(1,))
     """
-    validate(path)
-    # alternating up- and down-runs; the last down-run is the home run
-    runs = [tuple(run) for _, run in groupby(path.steps, type)]
-    homerun = tuple(map(_step_size, runs[-1])) if runs else ()
+    steps = validate(path).steps
+    # the home run is the last down-run, and a valid path ends in one
+    end = len(steps)
+    while end and steps[end - 1] is not UP:
+        end -= 1
+    homerun = tuple([s.size for s in steps[end:]])
     height = sum(homerun)
     bundles: list[list[Mountain]] = [[] for _ in range(height)]
     level = 0  # the valley before, or the ground
-    for ups, downs in zip(runs[:-2:2], runs[1:-2:2]):
-        descent = tuple(map(_step_size, downs))
-        fall = sum(descent)
-        base = level + len(ups) - fall
-        # valleys that never dip all lie below the height
-        if not level <= base < height:
-            raise NotNonDecreasingError(f"valley levels decrease in {render_path(path)!r}")
-        bundles[base].append(Mountain(descent))
-        level = base
-    return Decomposition(tuple(map(tuple, bundles)), homerun)
+    at = 0  # the level walked to
+    descent: list[int] = []  # the down-run walked since the last up-step
+    for step in steps[:end]:
+        if step is not UP:
+            descent.append(step.size)
+            at -= step.size
+            continue
+        if descent:  # a valley: the mountain that ends there is based there
+            # valleys that never dip all lie below the height
+            if not level <= at < height:
+                raise NotNonDecreasingError(f"valley levels decrease in {render_path(path)!r}")
+            bundles[at].append(_mountain(tuple(descent)))
+            level = at
+            descent = []
+        at += 1
+    return _decomposition(tuple(map(tuple, bundles)), homerun)
 
 
 def compose(dec: Decomposition) -> DeutschPath:
@@ -518,7 +542,12 @@ def compose(dec: Decomposition) -> DeutschPath:
             steps += map(_down, mountain.descent)
         steps.append(UP)
     steps += map(_down, dec.homerun)
-    return validate(DeutschPath(tuple(steps)))
+    # built as the walk builds its paths: a tuple of steps is all that
+    # __post_init__ would check
+    path = object.__new__(DeutschPath)
+    DeutschPath.steps.__set__(path, tuple(steps))
+    _Walked._shared.__set__(path, None)
+    return validate(path)
 
 
 def _endings(height: int, endings_at: dict[int, list]) -> Iterator[tuple[Step, Step]]:
@@ -652,7 +681,7 @@ def _compositions_exact(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def _mountains_of_length(length: int) -> list[Mountain]:
-    return [Mountain(d) for u in range(1, length) for d in _compositions_exact(u, length - u)]
+    return [_mountain(d) for u in range(1, length) for d in _compositions_exact(u, length - u)]
 
 
 def _mountain_runs(total: int) -> Iterator[tuple[Mountain, ...]]:
@@ -680,7 +709,7 @@ def iter_decompositions(total_length: int) -> Iterator[Decomposition]:
     if not _size(total_length, "total_length"):
         return iter((Decomposition((), ()),))
     return (
-        Decomposition(tuple(run[a:b] for a, b in pairwise((0, *cuts, len(run)))), homerun)
+        _decomposition(tuple(run[a:b] for a, b in pairwise((0, *cuts, len(run)))), homerun)
         for height in range(1, total_length)
         for parts in range(1, min(height, total_length - height) + 1)
         for homerun in _compositions_exact(height, parts)

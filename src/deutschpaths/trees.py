@@ -18,7 +18,15 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .paths import Decomposition, DeutschPath, Mountain, _composition, _tuple_of, compose, decompose
+from .paths import (
+    DeutschPath,
+    _composition,
+    _decomposition,
+    _mountain,
+    _tuple_of,
+    compose,
+    decompose,
+)
 
 __all__ = [
     "EdgeMark",
@@ -61,6 +69,11 @@ class EdgeMark(Enum):
     SINGLE = "s"
     DOUBLE = "d"
 
+    # each member is the one object of its mark (copy, deepcopy and pickle
+    # return it), so the identity hash of a C slot serves, where Enum's
+    # hashes the name in a Python-level method
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, slots=True)
 class MarkedTree:
@@ -83,6 +96,17 @@ class MarkedTree:
         for bundle in _tuple_of(self.bundles, "bundles", tuple):
             for hanging in _tuple_of(bundle, "bundle", tuple):
                 _tuple_of(hanging, "hanging path", EdgeMark)
+
+
+def _tree(
+    backbone: tuple[EdgeMark, ...], bundles: tuple[tuple[tuple[EdgeMark, ...], ...], ...]
+) -> MarkedTree:
+    # a tree of marks the package has just written, which skips the
+    # constructor's shape check, as paths._mountain does
+    tree = object.__new__(MarkedTree)
+    MarkedTree.backbone.__set__(tree, backbone)
+    MarkedTree.bundles.__set__(tree, bundles)
+    return tree
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +133,11 @@ def composition_to_marks(parts: tuple[int, ...]) -> tuple[EdgeMark, ...]:
     sequence.
     """
     _composition(parts, "composition")
+    return _marks(parts)
+
+
+def _marks(parts: tuple[int, ...]) -> tuple[EdgeMark, ...]:
+    # the writer behind composition_to_marks, for parts already checked
     marks: list[EdgeMark] = []
     for part in parts:
         marks += _SINGLE * (part - 1)
@@ -160,9 +189,8 @@ def path_to_tree(path: DeutschPath) -> MarkedTree:
     hanging path at the backbone node matching its base level.
     """
     dec = decompose(path)
-    backbone = composition_to_marks(dec.homerun)
-    bundles = [tuple([composition_to_marks(m.descent) for m in b]) for b in dec.bundles]
-    return MarkedTree(backbone, tuple(bundles))
+    bundles = tuple([tuple([_marks(m.descent) for m in b]) for b in dec.bundles])
+    return _tree(_marks(dec.homerun), bundles)
 
 
 def tree_to_path(tree: MarkedTree) -> DeutschPath:
@@ -173,9 +201,12 @@ def tree_to_path(tree: MarkedTree) -> DeutschPath:
     problems = validate_tree(tree)
     if problems:
         raise TreeInvariantError(problems)
+    # a valid tree's hanging paths are nonempty and close with a double,
+    # so each reads as a nonempty composition, and its backbone, one mark
+    # per bundle, as a home run that totals the height
     homerun = marks_to_composition(tree.backbone)
-    bundles = [tuple([Mountain(marks_to_composition(h)) for h in b]) for b in tree.bundles]
-    return compose(Decomposition(tuple(bundles), homerun))
+    bundles = tuple([tuple([_mountain(marks_to_composition(h)) for h in b]) for b in tree.bundles])
+    return compose(_decomposition(bundles, homerun))
 
 
 def tree_statistics(tree: MarkedTree) -> TreeStats:
@@ -188,7 +219,7 @@ def tree_statistics(tree: MarkedTree) -> TreeStats:
 
 def _marks_json(marks: tuple[EdgeMark, ...]) -> str:
     # each mark is told by identity and calls nothing, as an Enum's value
-    # is a Python-level property and its hash a Python-level method
+    # is a Python-level property
     double = EdgeMark.DOUBLE
     return "[" + ",".join(['"d"' if mark is double else '"s"' for mark in marks]) + "]"
 

@@ -227,3 +227,46 @@ def test_one_walk_checks_the_ground_rules():
                 found.append((source.name, node.lineno))
     assert len(found) == 2
     assert all(name == walk[0] and line in walk[1] for name, line in found)
+
+
+# the records whose constructors check their parts, and the private
+# builders that alone skip those checks, for parts just built or checked
+CHECKED_RECORDS = {"Mountain", "Decomposition", "MarkedTree"}
+BUILDERS = {("paths.py", "_mountain"), ("paths.py", "_decomposition"), ("trees.py", "_tree")}
+
+
+def _unchecked_constructions(tree: ast.Module):
+    # each object.__new__ of a checked record, and each slot setter of
+    # one (Record.field.__set__), with the function it lies in
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.Call) and node.args:
+            func, first = node.func, node.args[0]
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "__new__"
+                and getattr(func.value, "id", None) == "object"
+                and getattr(first, "id", None) in CHECKED_RECORDS
+            ):
+                yield function, node.lineno
+        if isinstance(node, ast.Attribute) and node.attr == "__set__":
+            if getattr(getattr(node.value, "value", None), "id", None) in CHECKED_RECORDS:
+                yield function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(tree, None)
+
+
+def test_only_the_builders_skip_the_record_checks():
+    # Mountain, Decomposition and MarkedTree are built unchecked in the
+    # builders alone, so every other site goes through the constructors
+    found = [
+        (source.name, function, line)
+        for source in SOURCES
+        for function, line in _unchecked_constructions(ast.parse(source.read_text(), str(source)))
+    ]
+    outside = [f"{name}:{line}" for name, where, line in found if (name, where) not in BUILDERS]
+    assert outside == []
+    assert {(name, function) for name, function, _ in found} == BUILDERS

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import re
 from itertools import pairwise
 
@@ -118,6 +120,25 @@ class TestBijection:
         for n in range(10):
             stream = list(enumerate_nondecreasing_filter(n))
             assert len({path_to_tree(p) for p in stream}) == len(stream)
+
+    @pytest.mark.parametrize("text,tree", FIGURE_PAIRS)
+    def test_copies_of_a_tree_hash_alike(self, text, tree):
+        # marks hash by identity, and every way of copying a mark gives
+        # the one member back, so a copied or re-read tree keys a dict
+        encoded = path_to_tree(parse_path(text))
+        copies = [
+            tree,
+            copy.copy(encoded),
+            copy.deepcopy(encoded),
+            pickle.loads(pickle.dumps(encoded)),
+            tree_from_json(tree_to_json(encoded)),
+        ]
+        assert {copied: text for copied in copies} == {encoded: text}
+        marks = [*encoded.backbone, *(m for b in encoded.bundles for h in b for m in h)]
+        for copied in copies:
+            assert hash(copied) == hash(encoded)
+            copied_marks = [*copied.backbone, *(m for b in copied.bundles for h in b for m in h)]
+            assert all(a is b for a, b in zip(copied_marks, marks, strict=True))
 
     def test_empty_path_empty_tree(self):
         tree = path_to_tree(parse_path(""))
