@@ -9,7 +9,10 @@ JSON output is line oriented where a command prints several records.
 
 ``main`` may be called many times in one process.  It builds its parser
 once, on the first call; each call parses into a fresh namespace, so no
-flag of one call reaches the next.
+flag of one call reaches the next.  A call that names a command parses
+once, through that command's parser alone; any other argv (none, ``-h``,
+``--`` or an unknown command) goes to the top parser, which prints help
+or an error.
 """
 
 from __future__ import annotations
@@ -135,7 +138,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser, and each command's parser under its name."""
     parser = argparse.ArgumentParser(
         prog="deutschpaths",
         description=(
@@ -144,8 +148,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
-    p = sub.add_parser("count", help="count the paths of one length")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        commands[name] = sub.add_parser(name, help=help)
+        return commands[name]
+
+    p = command("count", "count the paths of one length")
     p.add_argument("--length", type=int, required=True, metavar="N")
     p.add_argument(
         "--method",
@@ -155,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("table", help="counts for all lengths up to a bound")
+    p = command("table", "counts for all lengths up to a bound")
     p.add_argument("--max", type=int, required=True, metavar="N")
     p.add_argument("--json", action="store_true", help="one JSON record per row")
     p.add_argument(
@@ -167,31 +176,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_table)
 
-    p = sub.add_parser("list", help="print every path of one length")
+    p = command("list", "print every path of one length")
     p.add_argument("--length", type=int, required=True, metavar="N")
     p.add_argument("--json", action="store_true", help="one JSON record per path")
     p.set_defaults(handler=_cmd_list)
 
-    p = sub.add_parser("tree", help="encode a path as a marked tree")
+    p = command("tree", "encode a path as a marked tree")
     p.add_argument("--path", required=True, metavar="TOKENS", help='e.g. "U U D2 U D1"')
     p.add_argument("--json", action="store_true", help="print the JSON record")
     p.set_defaults(handler=_cmd_tree)
 
-    p = sub.add_parser("path", help="decode a marked tree back to its path")
+    p = command("path", "decode a marked tree back to its path")
     p.add_argument("--tree", required=True, metavar="JSON", help="tree record")
     p.set_defaults(handler=_cmd_path)
 
-    p = sub.add_parser("gf", help="expand a named generating function")
+    p = command("gf", "expand a named generating function")
     p.add_argument("--form", required=True, metavar="NAME")
     p.add_argument("--terms", type=int, required=True, metavar="N", help="highest order")
     p.add_argument("--json", action="store_true", help="print the JSON record")
     p.set_defaults(handler=_cmd_gf)
 
-    p = sub.add_parser("mountains", help="count mountains of one length")
+    p = command("mountains", "count mountains of one length")
     p.add_argument("--steps", type=int, required=True, metavar="K")
     p.set_defaults(handler=_cmd_mountains)
 
-    p = sub.add_parser("tilings", help="count or list square and domino tilings")
+    p = command("tilings", "count or list square and domino tilings")
     p.add_argument("--length", type=int, required=True, metavar="N")
     p.add_argument(
         "--first-square", action="store_true", help="restrict to tilings opening with a square"
@@ -199,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="print the tilings instead of counting")
     p.set_defaults(handler=_cmd_tilings)
 
-    p = sub.add_parser("verify", help="run the full cross-check suite")
+    p = command("verify", "run the full cross-check suite")
     p.add_argument(
         "--max",
         type=int,
@@ -214,11 +223,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_verify)
 
-    return parser
+    return parser, commands
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _build_parser()
+    subparser = commands.get(argv[0]) if argv else None
+    if subparser is None:
+        args = parser.parse_args(argv)
+    else:
+        # what the top parser would hand this command's parser, parsed once
+        args, extras = subparser.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     # Counts past n ~ 11,240 have more digits than Python >= 3.10.7 turns
     # into str by default (3.10.0 to 3.10.6 have neither limit nor setter).
     # It is lifted after parsing, so argv integers still meet it, and

@@ -181,6 +181,14 @@ def _quotient(value: Fraction | int, divisor: Fraction | int) -> Fraction | int:
     return Fraction(value, divisor)
 
 
+def _product(
+    a1: Fraction | int, b1: Fraction | int, a2: Fraction | int, b2: Fraction | int
+) -> tuple[Fraction | int, Fraction | int]:
+    """The coordinates of (a1 + b1 r)(a2 + b2 r) with r**2 = 2, in three products."""
+    aa, bb = a1 * a2, b1 * b2
+    return aa + 2 * bb, (a1 + b1) * (a2 + b2) - aa - bb
+
+
 @dataclass(frozen=True, slots=True)
 class QuadraticNumber(_DerivedOperators):
     """Exact element a + b*sqrt(2) with rational a and b.
@@ -217,9 +225,7 @@ class QuadraticNumber(_DerivedOperators):
 
     @_lifted
     def __mul__(self, rhs: QuadraticNumber) -> QuadraticNumber:
-        # (a1 + b1 r)(a2 + b2 r) with r**2 = 2, in three products
-        aa, bb = self.a * rhs.a, self.b * rhs.b
-        return QuadraticNumber(aa + 2 * bb, (self.a + self.b) * (rhs.a + rhs.b) - aa - bb)
+        return QuadraticNumber(*_product(self.a, self.b, rhs.a, rhs.b))
 
     __rmul__ = __mul__
 
@@ -244,17 +250,19 @@ class QuadraticNumber(_DerivedOperators):
 
         Each bit after the top one squares the running power, and each
         set bit then multiplies it by ``self``: bit_length - 1 squarings
-        and popcount - 1 products, every one through ``*``.  A set bit
-        thus multiplies by the base, never by a second large power.
+        and popcount - 1 products, every one through :func:`_product`
+        on the bare coordinates.  A set bit thus multiplies by the base,
+        never by a second large power.  Only the result is built as a
+        :class:`QuadraticNumber`, so its integral coordinates are ints.
         """
         if not _size(exponent, "exponent"):
             return QuadraticNumber(1)
-        result = self
+        a, b = base_a, base_b = self.a, self.b
         for bit in bin(exponent)[3:]:
-            result = result * result
+            a, b = _product(a, b, a, b)
             if bit == "1":
-                result = result * self
-        return result
+                a, b = _product(a, b, base_a, base_b)
+        return QuadraticNumber(a, b)
 
     def as_integer(self) -> int:
         """The value as a plain integer, or :class:`NonIntegerResultError`

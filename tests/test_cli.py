@@ -391,6 +391,13 @@ def test_tilings_first_square_list():
     assert result.stdout == "S S S\nS D\n"
 
 
+def test_tilings_first_square_in_process(capsys):
+    # the subprocess above is out of sight of tests/coverage_map.py, and
+    # the fuzzed argvs of test_records.py reach this branch only by chance
+    assert cli.main(["tilings", "--length", "3", "--first-square"]) == 0
+    assert capsys.readouterr().out == "2\n"
+
+
 def test_verify():
     result = run_cli("verify", "--max", "6")
     assert result.returncode == 0
@@ -609,6 +616,19 @@ def test_the_first_line_needs_one_path(judged):
 def test_main_restores_the_digit_limit(int_digit_limit, capsys, argv, code):
     assert cli.main(argv) == code
     assert sys.get_int_max_str_digits() == 4300
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    # as the installed entry point calls it; sys.argv[0] is the program
+    monkeypatch.setattr(sys, "argv", ["deutschpaths", "count", "--length", "9"])
+    assert cli.main() == 0
+    monkeypatch.setattr(sys, "argv", ["deutschpaths"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(None)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "204\n"
+    assert captured.err.endswith("error: the following arguments are required: command\n")
 
 
 @pytest.mark.parametrize("length", [14, 1500])

@@ -29,7 +29,7 @@ def test_stdout_matches_golden(name):
 def test_every_subcommand_has_a_case():
     (subparsers,) = (
         action
-        for action in cli._build_parser()._actions
+        for action in cli._build_parser()[0]._actions
         if isinstance(action, argparse._SubParsersAction)
     )
     unpinned = set(subparsers.choices) - {argv[0] for argv in CASES.values()}

@@ -94,14 +94,14 @@ class TestQuadraticNumber:
 
     def test_power_squares_only_while_bits_remain(self, monkeypatch):
         products = 0
-        multiply = QuadraticNumber.__mul__
+        multiply = numbers._product
 
-        def counted(self, other):
+        def counted(*coordinates):
             nonlocal products
             products += 1
-            return multiply(self, other)
+            return multiply(*coordinates)
 
-        monkeypatch.setattr(QuadraticNumber, "__mul__", counted)
+        monkeypatch.setattr(numbers, "_product", counted)
         power = SILVER_RATIO ** 100
         # from the top bit down: one squaring per bit after the top one and
         # one product by the base per set bit after it
@@ -125,6 +125,20 @@ class TestQuadraticNumber:
             assert power == product, exponent
             assert repr(power) == repr(product), exponent
             product = product * base
+
+    def test_a_power_holds_its_integral_coordinates_as_ints(self):
+        # the power runs on bare coordinates, where a Fraction stays a
+        # Fraction; the value built at the end holds an integral one as an
+        # int: 1 + r/2 squared is 3/2 + r, and to the fourth 17/4 + 3r
+        base = QuadraticNumber(1, Fraction(1, 2))
+        integral = []
+        for exponent in range(1, 40):
+            power = base**exponent
+            for coordinate in (power.a, power.b):
+                whole = Fraction(coordinate).denominator == 1
+                assert (type(coordinate) is int) == whole, (exponent, coordinate)
+                integral += [exponent] if whole else []
+        assert integral == [1, 2, 4]
 
     def test_division(self):
         one = QuadraticNumber(1, 0)
