@@ -9,10 +9,12 @@ JSON output is line oriented where a command prints several records.
 
 ``main`` may be called many times in one process.  It builds its parser
 once, on the first call; each call parses into a fresh namespace, so no
-flag of one call reaches the next.  A call that names a command parses
-once, through that command's parser alone; any other argv (none, ``-h``,
-``--`` or an unknown command) goes to the top parser, which prints help
-or an error.
+flag of one call reaches the next.  A call whose first word is in
+argparse's own command map parses once, through that command's parser
+alone; any other argv (none, ``-h``, ``--`` or an unknown command) goes
+to the top parser, which prints help or an error.  Each command's
+handler prints its output and returns nothing, save ``verify``, which
+returns its exit code.
 """
 
 from __future__ import annotations
@@ -21,31 +23,27 @@ import argparse
 import dataclasses
 import functools
 import sys
-from fractions import Fraction
 
 from . import numbers, paths, series, trees, verify
 
 __all__ = ["main"]
 
 
-def _print_count(value: int | Fraction) -> int:
-    print(value)
-    return 0
-
-
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> None:
     n = numbers._size(args.length, "--length")
     if args.method == "closed":
-        return _print_count(numbers.count_nondecreasing_closed(n))
-    if args.method == "series":
-        return _print_count(series.named_form("with-empty").coefficient(n))
-    if args.method == "brute":
-        return _print_count(sum(1 for _ in paths.enumerate_nondecreasing_filter(n)))
-    # a count needs no canonical order, so the composed paths go unsorted
-    return _print_count(sum(1 for _ in map(paths.compose, paths.iter_decompositions(n))))
+        count = numbers.count_nondecreasing_closed(n)
+    elif args.method == "series":
+        count = series.named_form("with-empty").coefficient(n)
+    elif args.method == "brute":
+        count = sum(1 for _ in paths.enumerate_nondecreasing_filter(n))
+    else:
+        # a count needs no canonical order, so the composed paths go unsorted
+        count = sum(1 for _ in map(paths.compose, paths.iter_decompositions(n)))
+    print(count)
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> None:
     top = numbers._size(args.max, "--max")
     cap = numbers._size(args.brute_cap, "--brute-cap")
     closed = [numbers.count_nondecreasing_closed(n) for n in range(top + 1)]
@@ -66,53 +64,48 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for n, c, s, b, agree in rows:
             brute_cell = "-" if b is None else str(b)
             print(f"{n}\t{c}\t{s}\t{brute_cell}\t{'yes' if agree else 'NO'}")
-    return 0
 
 
-def _cmd_list(args: argparse.Namespace) -> int:
+def _cmd_list(args: argparse.Namespace) -> None:
     stream = paths.enumerate_nondecreasing_filter(numbers._size(args.length, "--length"))
     for line in paths._lines(stream, paths._JSON if args.json else paths._TEXT):
         print(line)
-    return 0
 
 
-def _cmd_tree(args: argparse.Namespace) -> int:
+def _cmd_tree(args: argparse.Namespace) -> None:
     tree = trees.path_to_tree(paths.parse_path(args.path))
     print(trees.tree_to_json(tree) if args.json else trees.render_outline(tree))
-    return 0
 
 
-def _cmd_path(args: argparse.Namespace) -> int:
+def _cmd_path(args: argparse.Namespace) -> None:
     tree = trees.tree_from_json(args.tree)
     print(paths.render_path(trees.tree_to_path(tree)))
-    return 0
 
 
-def _cmd_gf(args: argparse.Namespace) -> int:
+def _cmd_gf(args: argparse.Namespace) -> None:
     order = numbers._size(args.terms, "--terms")
     coeffs = series.named_form(args.form)._values(order)
     if args.json:
         print(series.coefficients_to_json(args.form, coeffs))
     else:
         print(series.format_coefficients(coeffs))
-    return 0
 
 
-def _cmd_mountains(args: argparse.Namespace) -> int:
-    return _print_count(numbers.count_mountains(numbers._size(args.steps, "--steps")))
+def _cmd_mountains(args: argparse.Namespace) -> None:
+    print(numbers.count_mountains(numbers._size(args.steps, "--steps")))
 
 
-def _cmd_tilings(args: argparse.Namespace) -> int:
+def _cmd_tilings(args: argparse.Namespace) -> None:
     n = numbers._size(args.length, "--length")
     if args.list:
         for tiling in numbers.enumerate_tilings(n):
             if args.first_square and (not tiling or tiling[0] is not numbers.Piece.SQUARE):
                 continue
             print(numbers.render_tiling(tiling))
-        return 0
-    if args.first_square:
-        return _print_count(numbers.count_square_first_tilings(n))
-    return _print_count(numbers.count_tilings(n))
+    elif args.first_square:
+        print(numbers.count_square_first_tilings(n))
+    else:
+        print(numbers.count_tilings(n))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -139,7 +132,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top parser, and each command's parser under its name."""
+    """The top parser, and argparse's own map of each command's name to
+    its parser (the ``choices`` of the action ``add_subparsers`` returns)."""
     parser = argparse.ArgumentParser(
         prog="deutschpaths",
         description=(
@@ -148,13 +142,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
 
-    def command(name: str, help: str) -> argparse.ArgumentParser:
-        commands[name] = sub.add_parser(name, help=help)
-        return commands[name]
-
-    p = command("count", "count the paths of one length")
+    p = sub.add_parser("count", help="count the paths of one length")
     p.add_argument("--length", type=int, required=True, metavar="N")
     p.add_argument(
         "--method",
@@ -164,7 +153,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     p.set_defaults(handler=_cmd_count)
 
-    p = command("table", "counts for all lengths up to a bound")
+    p = sub.add_parser("table", help="counts for all lengths up to a bound")
     p.add_argument("--max", type=int, required=True, metavar="N")
     p.add_argument("--json", action="store_true", help="one JSON record per row")
     p.add_argument(
@@ -176,31 +165,31 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     p.set_defaults(handler=_cmd_table)
 
-    p = command("list", "print every path of one length")
+    p = sub.add_parser("list", help="print every path of one length")
     p.add_argument("--length", type=int, required=True, metavar="N")
     p.add_argument("--json", action="store_true", help="one JSON record per path")
     p.set_defaults(handler=_cmd_list)
 
-    p = command("tree", "encode a path as a marked tree")
+    p = sub.add_parser("tree", help="encode a path as a marked tree")
     p.add_argument("--path", required=True, metavar="TOKENS", help='e.g. "U U D2 U D1"')
     p.add_argument("--json", action="store_true", help="print the JSON record")
     p.set_defaults(handler=_cmd_tree)
 
-    p = command("path", "decode a marked tree back to its path")
+    p = sub.add_parser("path", help="decode a marked tree back to its path")
     p.add_argument("--tree", required=True, metavar="JSON", help="tree record")
     p.set_defaults(handler=_cmd_path)
 
-    p = command("gf", "expand a named generating function")
+    p = sub.add_parser("gf", help="expand a named generating function")
     p.add_argument("--form", required=True, metavar="NAME")
     p.add_argument("--terms", type=int, required=True, metavar="N", help="highest order")
     p.add_argument("--json", action="store_true", help="print the JSON record")
     p.set_defaults(handler=_cmd_gf)
 
-    p = command("mountains", "count mountains of one length")
+    p = sub.add_parser("mountains", help="count mountains of one length")
     p.add_argument("--steps", type=int, required=True, metavar="K")
     p.set_defaults(handler=_cmd_mountains)
 
-    p = command("tilings", "count or list square and domino tilings")
+    p = sub.add_parser("tilings", help="count or list square and domino tilings")
     p.add_argument("--length", type=int, required=True, metavar="N")
     p.add_argument(
         "--first-square", action="store_true", help="restrict to tilings opening with a square"
@@ -208,7 +197,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--list", action="store_true", help="print the tilings instead of counting")
     p.set_defaults(handler=_cmd_tilings)
 
-    p = command("verify", "run the full cross-check suite")
+    p = sub.add_parser("verify", help="run the full cross-check suite")
     p.add_argument(
         "--max",
         type=int,
@@ -223,7 +212,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     p.set_defaults(handler=_cmd_verify)
 
-    return parser, commands
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -246,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        return args.handler(args) or 0
     # BrokenPipeError propagates, as under `| head`
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

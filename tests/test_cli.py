@@ -398,6 +398,20 @@ def test_tilings_first_square_in_process(capsys):
     assert capsys.readouterr().out == "2\n"
 
 
+@pytest.mark.parametrize(
+    "flags, out",
+    [
+        (["--length", "4", "--list", "--first-square"], "S S S S\nS S D\nS D S\n"),
+        (["--length", "5"], "8\n"),
+    ],
+    ids=["first-square-list", "count"],
+)
+def test_tilings_in_process(capsys, flags, out):
+    # as above: a domino-first tiling skipped, and the plain count
+    assert cli.main(["tilings", *flags]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_verify():
     result = run_cli("verify", "--max", "6")
     assert result.returncode == 0

@@ -1,12 +1,12 @@
-"""CLI stdout pinned byte for byte against the corpus in ``tests/golden``.
+"""CLI stdout pinned byte for byte against the corpus in ``tests/golden``,
+and ``main``'s dispatch against the top parser's.
 
-The case table lives in ``replay_golden.py``, which also replays the
-corpus without pytest; the last test runs it as that script.
+The case tables live in ``replay_golden.py``, which also replays them
+without pytest; the last tests run it as that script.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -16,24 +16,41 @@ import pytest
 
 import replay_golden
 from deutschpaths import cli
-from replay_golden import CASES, GOLDEN, run_main
+from replay_golden import ARGVS, CASES, GOLDEN, run
+
+SCRIPT_LINES = [
+    f"{len(CASES)}/{len(CASES)} golden cases match (first pass)",
+    f"{len(CASES)}/{len(CASES)} golden cases match (reversed pass)",
+    f"{len(ARGVS)}/{len(ARGVS)} argvs dispatch alike",
+]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name):
-    code, out = run_main(CASES[name])
-    assert code == 0
-    assert out == (GOLDEN / name).read_text()
+    assert run(CASES[name]) == (0, (GOLDEN / name).read_text(), "")
 
 
 def test_every_subcommand_has_a_case():
-    (subparsers,) = (
-        action
-        for action in cli._build_parser()[0]._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
-    unpinned = set(subparsers.choices) - {argv[0] for argv in CASES.values()}
-    assert subparsers.choices and not unpinned, unpinned
+    commands = cli._build_parser()[1]
+    unpinned = set(commands) - {argv[0] for argv in CASES.values()}
+    assert commands and not unpinned, unpinned
+
+
+@pytest.mark.parametrize("name", sorted(ARGVS))
+def test_main_dispatches_as_the_top_parser(name):
+    assert run(ARGVS[name]) == run(ARGVS[name], reference=True)
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [("help", 0), ("command-help", 0), ("unknown-command", 2), ("left-over-flag", 2)],
+)
+def test_the_top_parser_has_its_say(name, code):
+    # a reference that printed nothing would agree with a main that did
+    # the same, so these argvs must print help or an error of their own
+    got, out, err = run(ARGVS[name])
+    assert got == code
+    assert (out if code == 0 else err).startswith("usage: deutschpaths")
 
 
 def test_the_script_replays_the_corpus_in_both_orders():
@@ -45,10 +62,7 @@ def test_the_script_replays_the_corpus_in_both_orders():
         text=True,
     )
     assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout.splitlines() == [
-        f"{len(CASES)}/{len(CASES)} golden cases match ({label} pass)"
-        for label in ("first", "reversed")
-    ]
+    assert result.stdout.splitlines() == SCRIPT_LINES
 
 
 def test_the_script_replays_under_each_interpreter_given(tmp_path):
@@ -65,8 +79,5 @@ def test_the_script_replays_under_each_interpreter_given(tmp_path):
     )
     assert (result.returncode, result.stderr) == (1, "")
     lines = result.stdout.splitlines()
-    assert lines[:2] == [
-        f"{sys.executable}: {len(CASES)}/{len(CASES)} golden cases match ({label} pass)"
-        for label in ("first", "reversed")
-    ]
-    assert len(lines) == 3 and lines[2].startswith(f"{missing}: cannot run: ")
+    assert lines[:3] == [f"{sys.executable}: {line}" for line in SCRIPT_LINES]
+    assert len(lines) == 4 and lines[3].startswith(f"{missing}: cannot run: ")
