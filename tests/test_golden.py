@@ -53,16 +53,25 @@ def test_the_top_parser_has_its_say(name, code):
     assert (out if code == 0 else err).startswith("usage: deutschpaths")
 
 
-def test_the_script_replays_the_corpus_in_both_orders():
+@pytest.fixture(scope="module")
+def script_run():
     src = Path(__file__).parents[1] / "src"
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, replay_golden.__file__],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
     )
-    assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout.splitlines() == SCRIPT_LINES
+
+
+def test_the_script_replays_the_corpus_in_both_orders(script_run):
+    assert (script_run.returncode, script_run.stderr) == (0, "")
+    assert script_run.stdout.splitlines()[:2] == SCRIPT_LINES[:2]
+
+
+def test_the_script_compares_every_argv(script_run):
+    assert (script_run.returncode, script_run.stderr) == (0, "")
+    assert script_run.stdout.splitlines()[2:] == SCRIPT_LINES[2:]
 
 
 def test_the_script_replays_under_each_interpreter_given(tmp_path):
