@@ -7,8 +7,9 @@ evaluate without any rounding.  Inside, a coordinate stays a plain
 only when it is not, so powers of the silver ratio never build a
 ``Fraction``.  The silver ratio 1 + sqrt(2) and its conjugate drive
 both Pell sequences and the closed form for the number of
-weakly-increasing-valley paths, which the closed count reaches by
-doubling the Pell pair in O(log n) integer products.
+weakly-increasing-valley paths.  The closed count reaches it by
+doubling the Pell pair in O(log n) integer products; its ring check
+forms eight times the count by products and sums alone.
 
 Fibonacci numbers follow the convention F(1) = F(2) = 1, extended
 backwards so that F(0) = 0 and F(-1) = 1.
@@ -242,8 +243,8 @@ class QuadraticNumber(_DerivedOperators):
         n = rhs.norm()
         if not n:
             raise ZeroDivisionError("division by a number of norm zero")
-        flipped = self * rhs.conjugate()
-        return QuadraticNumber(_quotient(flipped.a, n), _quotient(flipped.b, n))
+        a, b = _product(self.a, self.b, rhs.a, -rhs.b)  # times the conjugate
+        return QuadraticNumber(_quotient(a, n), _quotient(b, n))
 
     def __pow__(self, exponent: int) -> QuadraticNumber:
         """Power by squaring, from the top bit of the exponent down.
@@ -296,21 +297,20 @@ def binet_half_companion(n: int) -> int:
 def count_nondecreasing_quadratic(n: int) -> int:
     """Closed count evaluated literally in the sqrt(2) ring.
 
-    (1 + (-1)**n)/4 + (s**n + t**n)/4 - (s**n - t**n)/(4 sqrt(2)) for
-    the silver ratio s and its conjugate t.  Both powers are raised in
-    the ring, and four times the sum is formed there: s**n - t**n has no
-    rational part, so its quotient by sqrt(2) has ``int`` coordinates
-    and no coordinate becomes a ``Fraction``.  One ``divmod`` by 4 ends
-    it.  The result must be a nonnegative integer; a sqrt(2) part, a
-    remainder or a negative value raises :class:`NonIntegerResultError`.
+    Eight times the count is 2(1 + (-1)**n) + (2 - sqrt(2)) s**n +
+    (2 + sqrt(2)) t**n for the silver ratio s and its conjugate t.  Both
+    powers are raised in the ring, then two products and two sums, with
+    no division, form the sum on ``int`` coordinates.  One ``divmod`` by
+    8 ends it.  A sqrt(2) part, a remainder or a negative count raises
+    :class:`NonIntegerResultError`.
     """
     _size(n, "n")
-    s_pow = SILVER_RATIO**n
-    t_pow = SILVER_CONJUGATE**n
-    four_times = QuadraticNumber(1 + (-1) ** n) + (s_pow + t_pow) - (s_pow - t_pow) / SQRT2
-    result, remainder = divmod(four_times.as_integer(), 4)
+    parity = QuadraticNumber(2 + 2 * (-1) ** n)
+    s_pow, t_pow = SILVER_RATIO**n, SILVER_CONJUGATE**n
+    eight_times = parity + QuadraticNumber(2, -1) * s_pow + QuadraticNumber(2, 1) * t_pow
+    result, remainder = divmod(eight_times.as_integer(), 8)
     if remainder:
-        raise NonIntegerResultError(f"4 times the count for n={n} is not divisible by 4")
+        raise NonIntegerResultError(f"8 times the count for n={n} is not divisible by 8")
     if result < 0:
         raise NonIntegerResultError(f"count for n={n} came out negative")
     return result

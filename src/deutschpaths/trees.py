@@ -280,11 +280,17 @@ def tree_from_json(text: str) -> MarkedTree:
 
 
 def render_outline(tree: MarkedTree) -> str:
-    """Plain-text outline, one line per node, hanging path and spine edge."""
-    lines = ["node 0 (root)"]
-    for node, mark in enumerate(tree.backbone):
-        for hanging in tree.bundles[node] if node < len(tree.bundles) else ():
+    """Plain-text outline, one line per node, hanging path and spine edge.
+
+    Every bundle prints under its node, also past the deepest node of an
+    invalid tree, where no spine edge leads.
+    """
+    spine, bundles = tree.backbone, tree.bundles
+    lines = []
+    for node in range(max(len(spine) + 1, len(bundles))):
+        if 0 < node <= len(spine):
+            lines.append(f"  spine {spine[node - 1].value}")
+        lines.append(f"node {node}" if node else "node 0 (root)")
+        for hanging in bundles[node] if node < len(bundles) else ():
             lines.append("  hang: " + " ".join(m.value for m in hanging))
-        lines.append(f"  spine {mark.value}")
-        lines.append(f"node {node + 1}")
     return "\n".join(lines)

@@ -80,6 +80,18 @@ class TestSequences:
         assert numbers._silver_pair(10**5) == (half_companion_pell(10**5), pell(10**5))
 
 
+def _counted(monkeypatch, owner, name):
+    """Patch ``owner.name`` to count its calls; the returned list grows by one per call."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestQuadraticNumber:
     def test_silver_algebra(self):
         assert SILVER_RATIO * SILVER_CONJUGATE == QuadraticNumber(-1, 0)
@@ -93,20 +105,19 @@ class TestQuadraticNumber:
             QuadraticNumber(1) ** -1
 
     def test_power_squares_only_while_bits_remain(self, monkeypatch):
-        products = 0
-        multiply = numbers._product
-
-        def counted(*coordinates):
-            nonlocal products
-            products += 1
-            return multiply(*coordinates)
-
-        monkeypatch.setattr(numbers, "_product", counted)
+        products = _counted(monkeypatch, numbers, "_product")
         power = SILVER_RATIO ** 100
         # from the top bit down: one squaring per bit after the top one and
         # one product by the base per set bit after it
-        assert products == (100).bit_length() - 1 + bin(100).count("1") - 1 == 8
+        assert len(products) == (100).bit_length() - 1 + bin(100).count("1") - 1 == 8
         assert power == QuadraticNumber(half_companion_pell(100), pell(100))
+
+    def test_division_is_one_product_by_the_conjugate(self, monkeypatch):
+        products = _counted(monkeypatch, numbers, "_product")
+        conjugates = _counted(monkeypatch, QuadraticNumber, "conjugate")
+        assert SILVER_RATIO / SILVER_CONJUGATE == QuadraticNumber(-3, -2)
+        assert len(products) == 1
+        assert conjugates == []
 
     @pytest.mark.parametrize(
         "base",
@@ -257,6 +268,16 @@ class TestClosedCounts:
         with pytest.raises(ValueError):
             count_nondecreasing_closed(-1)
 
+    def test_the_ring_check_multiplies_and_never_divides(self, monkeypatch):
+        expected = count_nondecreasing_closed(100)
+        divisions = _counted(monkeypatch, QuadraticNumber, "__truediv__")
+        products = _counted(monkeypatch, numbers, "_product")
+        assert count_nondecreasing_quadratic(100) == expected
+        # eight products for each of the two powers, then one for each of
+        # (2 - sqrt(2)) s**n and (2 + sqrt(2)) t**n
+        assert divisions == []
+        assert len(products) == 2 * 8 + 2
+
     def test_a_ring_disagreement_raises(self, monkeypatch):
         ring = numbers.count_nondecreasing_quadratic
 
@@ -269,16 +290,16 @@ class TestClosedCounts:
             count_nondecreasing_closed(7)
 
     def test_a_ring_sum_off_by_two_raises(self, monkeypatch):
-        # both powers one too high in the rational part: four times the
-        # sum is 2 mod 4, with no sqrt(2) part
+        # both powers one too high in the rational part: eight times the
+        # sum gains (2 - sqrt(2)) + (2 + sqrt(2)) = 4, with no sqrt(2) part
         power = QuadraticNumber.__pow__
         monkeypatch.setattr(QuadraticNumber, "__pow__", lambda x, e: power(x, e) + 1)
-        with pytest.raises(NonIntegerResultError, match="n=9 is not divisible by 4"):
+        with pytest.raises(NonIntegerResultError, match="n=9 is not divisible by 8"):
             count_nondecreasing_quadratic(9)
 
     def test_a_negative_ring_count_raises(self, monkeypatch):
-        # four times the sum reads -4: divisible by 4, and below zero
-        monkeypatch.setattr(QuadraticNumber, "as_integer", lambda self: -4)
+        # eight times the sum reads -8: divisible by 8, and below zero
+        monkeypatch.setattr(QuadraticNumber, "as_integer", lambda self: -8)
         with pytest.raises(NonIntegerResultError, match="^count for n=5 came out negative$"):
             count_nondecreasing_quadratic(5)
 

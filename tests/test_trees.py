@@ -301,6 +301,24 @@ class TestSerialisation:
         )
         assert render_outline(MarkedTree()) == "node 0 (root)"
 
+    def test_outline_shows_every_bundle_of_an_invalid_tree(self):
+        lone = MarkedTree((), (((D,),),))
+        assert validate_tree(lone) != []
+        assert render_outline(lone) == "node 0 (root)\n  hang: d"
+        # three bundles on one backbone edge: the last two hang at the
+        # deepest node and at a node past it
+        tree = MarkedTree((D,), (((S, D),), ((D,),), ((D,), (D,))))
+        assert render_outline(tree) == (
+            "node 0 (root)\n"
+            "  hang: s d\n"
+            "  spine d\n"
+            "node 1\n"
+            "  hang: d\n"
+            "node 2\n"
+            "  hang: d\n"
+            "  hang: d"
+        )
+
 
 def _composition(draw, total, parts):
     """A composition of ``total`` into exactly ``parts`` positive parts."""
